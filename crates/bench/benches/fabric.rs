@@ -13,7 +13,8 @@
 //!   workload.
 
 use criterion::{black_box, criterion_group, Criterion};
-use netchain_fabric::{build_shards, run_capacity, FabricConfig, Shard, WorkloadSpec};
+use netchain_experiments::fabric_scale;
+use netchain_fabric::{run_capacity, FabricConfig, WorkloadSpec};
 use netchain_switch::{stable_hash_batch, PipelineConfig, SwitchKvStore};
 use netchain_telemetry::TraceConfig;
 use netchain_wire::{
@@ -81,38 +82,11 @@ fn bench_parse(c: &mut Criterion) {
     });
 }
 
-/// One single-shard fabric plus a 32-read burst addressed to each key's
-/// chain tail, like the loadgen produces — the shared fixture for the burst
-/// and staged-vs-scalar benches.
-fn burst_fixture() -> (Vec<Shard>, Vec<Vec<u8>>) {
-    let config = FabricConfig::new(1);
-    let workload = WorkloadSpec::uniform_read(1024, 0);
-    let shards = build_shards(&config, &workload);
-    let ring = config.build_ring();
-    let frames: Vec<Vec<u8>> = (0..config.burst as u64)
-        .map(|i| {
-            let key = Key::from_u64(i % workload.num_keys);
-            NetChainPacket::query(
-                Ipv4Addr::for_host(0),
-                40_000,
-                ring.chain_for_key(&key).tail(),
-                OpCode::Read,
-                key,
-                Value::empty(),
-                ChainList::empty(),
-                i,
-            )
-            .to_bytes()
-        })
-        .collect();
-    (shards, frames)
-}
-
 fn bench_burst(c: &mut Criterion) {
     let config = FabricConfig::new(1);
     let workload = WorkloadSpec::uniform_read(1024, 0);
     let ring = config.build_ring();
-    let (mut shards, frames) = burst_fixture();
+    let (mut shards, frames) = fabric_scale::read_burst_fixture();
     let mut replies = BatchEncoder::with_capacity(config.burst, 128);
     c.bench_function("fabric/shard_burst_32_reads", |b| {
         b.iter(|| {
@@ -140,27 +114,8 @@ fn bench_burst(c: &mut Criterion) {
 /// burst with the tracer absent (the default fast path — must match
 /// `shard_burst_32_reads`) and with 1-in-256 trace sampling enabled.
 fn bench_burst_tracing(c: &mut Criterion) {
-    let config = FabricConfig::new(1);
-    let workload = WorkloadSpec::uniform_read(1024, 0);
-    let ring = config.build_ring();
-    let frames: Vec<Vec<u8>> = (0..config.burst as u64)
-        .map(|i| {
-            let key = Key::from_u64(i % workload.num_keys);
-            NetChainPacket::query(
-                Ipv4Addr::for_host(0),
-                40_000,
-                ring.chain_for_key(&key).tail(),
-                OpCode::Read,
-                key,
-                Value::empty(),
-                ChainList::empty(),
-                i,
-            )
-            .to_bytes()
-        })
-        .collect();
-    let mut replies = BatchEncoder::with_capacity(config.burst, 128);
-    let mut untraced = build_shards(&config, &workload);
+    let (mut untraced, frames) = fabric_scale::read_burst_fixture();
+    let mut replies = BatchEncoder::with_capacity(frames.len(), 128);
     c.bench_function("fabric/shard_burst_32_reads_trace_off", |b| {
         b.iter(|| {
             replies.clear();
@@ -168,7 +123,7 @@ fn bench_burst_tracing(c: &mut Criterion) {
             black_box(replies.len())
         })
     });
-    let mut traced = build_shards(&config, &workload);
+    let (mut traced, _) = fabric_scale::read_burst_fixture();
     traced[0].enable_tracing(TraceConfig::sampled(8, 1024), std::time::Instant::now());
     c.bench_function("fabric/shard_burst_32_reads_trace_on", |b| {
         b.iter(|| {
@@ -245,7 +200,7 @@ fn bench_staged_stages(c: &mut Criterion) {
 /// 32-read burst through the staged `process_burst` and through the retained
 /// scalar reference path.
 fn bench_staged_vs_scalar(c: &mut Criterion) {
-    let (mut shards, frames) = burst_fixture();
+    let (mut shards, frames) = fabric_scale::read_burst_fixture();
     let mut replies = BatchEncoder::with_capacity(frames.len(), 128);
     c.bench_function("fabric/staged_vs_scalar_burst/staged_32_reads", |b| {
         b.iter(|| {
@@ -324,46 +279,16 @@ fn scaling_report() {
 }
 
 /// Measured staged-vs-scalar acceptance: times the same 32-read burst
-/// through both paths with a plain monotonic clock (minimum over several
-/// repeats, so scheduler noise only ever slows a sample down, never speeds
-/// it up) and asserts the staged pipeline's speedup floor — ≥1.3x in the
-/// full run, ≥1.0x in CI smoke mode (`NETCHAIN_BENCH_SMOKE=1`).
+/// through both paths ([`fabric_scale::staged_vs_scalar_burst`], minimum
+/// over several repeats, so scheduler noise only ever slows a sample down,
+/// never speeds it up) and asserts the staged pipeline's speedup floor —
+/// ≥1.3x in the full run, ≥1.0x in CI smoke mode (`NETCHAIN_BENCH_SMOKE=1`).
 fn staged_report(smoke: bool) {
-    let (mut shards, frames) = burst_fixture();
-    let mut replies = BatchEncoder::with_capacity(frames.len(), 128);
     let iters: u32 = if smoke { 3_000 } else { 20_000 };
     let repeats = if smoke { 3 } else { 5 };
-
-    // Warm both paths untimed (fills the packet pool and faults the code in).
-    for _ in 0..200 {
-        replies.clear();
-        shards[0].process_burst(frames.iter().map(|f| f.as_slice()), &mut replies);
-        replies.clear();
-        shards[0].process_burst_scalar(frames.iter().map(|f| f.as_slice()), &mut replies);
-    }
-
-    let mut staged_ns = f64::INFINITY;
-    let mut scalar_ns = f64::INFINITY;
-    for _ in 0..repeats {
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            replies.clear();
-            shards[0].process_burst(frames.iter().map(|f| f.as_slice()), &mut replies);
-            black_box(replies.len());
-        }
-        staged_ns = staged_ns.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
-
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            replies.clear();
-            shards[0].process_burst_scalar(frames.iter().map(|f| f.as_slice()), &mut replies);
-            black_box(replies.len());
-        }
-        scalar_ns = scalar_ns.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
-    }
-
+    let (scalar_ns, staged_ns) = fabric_scale::staged_vs_scalar_burst(iters, repeats);
     let speedup = scalar_ns / staged_ns;
-    let per_op = frames.len() as f64;
+    let per_op = FabricConfig::new(1).burst as f64;
     println!("\nstaged vs scalar, 32-read burst (min over {repeats}x{iters} iters)");
     println!(
         "  scalar: {scalar_ns:>8.0} ns/burst  ({:.1} ns/op)",

@@ -4,8 +4,9 @@
 //! also exported as `BENCH_fabric_scale.jsonl` (one record per series plus
 //! a traced live run's latency quantiles and per-hop summary), and a
 //! machine-diffable summary — ops/sec per shard count, live p50/p99, and the
-//! staged-vs-scalar burst comparison — is written to the repo-top-level
-//! `BENCH_fabric.json` so the perf trajectory is diffable across PRs.
+//! staged-vs-scalar burst comparison — is written to `BENCH_fabric.json` in
+//! the artifact directory (`$NETCHAIN_ARTIFACT_DIR`, else the working
+//! directory) so the perf trajectory is diffable across PRs.
 use netchain_experiments::{fabric_scale, print_series, Series};
 use netchain_telemetry::{ArtifactWriter, Json};
 
@@ -142,10 +143,10 @@ fn main() {
             ]),
         ),
     ]);
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fabric.json");
-    match std::fs::write(bench_path, summary.render() + "\n") {
-        Ok(()) => println!("bench summary: {bench_path}"),
-        Err(e) => eprintln!("bench summary not written ({bench_path}): {e}"),
+    let bench_path = netchain_telemetry::artifact_dir().join("BENCH_fabric.json");
+    match std::fs::write(&bench_path, summary.render() + "\n") {
+        Ok(()) => println!("bench summary: {}", bench_path.display()),
+        Err(e) => eprintln!("bench summary not written ({}): {e}", bench_path.display()),
     }
 
     if let Some(path) = artifact.write() {

@@ -15,7 +15,8 @@ use crate::series::Series;
 use netchain_baseline::message::{ZkOp, ZkStore};
 use netchain_core::KvOp;
 use netchain_fabric::{
-    build_shards, run_capacity, run_live, ClientState, FabricConfig, FabricReport, WorkloadSpec,
+    build_shards, run_capacity, run_live, ClientState, FabricConfig, FabricReport, Shard,
+    WorkloadSpec,
 };
 use netchain_telemetry::TraceConfig;
 use netchain_wire::{BatchEncoder, ChainList, Ipv4Addr, Key, NetChainPacket, OpCode, Value};
@@ -113,17 +114,14 @@ pub fn live_profile(params: FabricScaleParams, shards: usize) -> FabricReport {
     )
 }
 
-/// The staged-vs-scalar burst comparison at experiment granularity: the same
-/// 32-read burst (each read addressed to its key's chain tail, like the load
-/// generator produces) through the staged [`netchain_fabric::Shard::process_burst`]
-/// and the retained scalar reference path. Returns
-/// `(scalar_ns_per_burst, staged_ns_per_burst)`, each the minimum over
-/// `repeats` timed runs of `iters` bursts — the numbers `BENCH_fabric.json`
-/// records so the perf trajectory is machine-diffable across PRs.
-pub fn staged_vs_scalar_burst(iters: u32, repeats: u32) -> (f64, f64) {
+/// One single-shard fabric populated for the uniform-read workload, plus a
+/// 32-read burst with each read addressed to its key's chain tail (like the
+/// load generator produces): the shared fixture of the staged-vs-scalar
+/// comparison and the fabric burst benches.
+pub fn read_burst_fixture() -> (Vec<Shard>, Vec<Vec<u8>>) {
     let config = FabricConfig::new(1);
     let workload = WorkloadSpec::uniform_read(1024, 0);
-    let mut shards = build_shards(&config, &workload);
+    let shards = build_shards(&config, &workload);
     let ring = config.build_ring();
     let frames: Vec<Vec<u8>> = (0..config.burst as u64)
         .map(|i| {
@@ -141,6 +139,18 @@ pub fn staged_vs_scalar_burst(iters: u32, repeats: u32) -> (f64, f64) {
             .to_bytes()
         })
         .collect();
+    (shards, frames)
+}
+
+/// The staged-vs-scalar burst comparison at experiment granularity: the
+/// [`read_burst_fixture`] burst through the staged
+/// [`netchain_fabric::Shard::process_burst`] and the fast-lane-off reference
+/// [`netchain_fabric::Shard::process_burst_scalar`]. Returns
+/// `(scalar_ns_per_burst, staged_ns_per_burst)`, each the minimum over
+/// `repeats` timed runs of `iters` bursts — the numbers `BENCH_fabric.json`
+/// records so the perf trajectory is machine-diffable across PRs.
+pub fn staged_vs_scalar_burst(iters: u32, repeats: u32) -> (f64, f64) {
+    let (mut shards, frames) = read_burst_fixture();
     let mut replies = BatchEncoder::with_capacity(frames.len(), 128);
     for _ in 0..100 {
         replies.clear();

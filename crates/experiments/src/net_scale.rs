@@ -18,8 +18,9 @@
 //!   single-packet path sustains, where achieved ops/sec is the result and
 //!   the burst/single ratio is the measured speedup.
 //!
-//! Results print as a table and land in the repo-top-level `BENCH_net.json`
-//! so the perf trajectory is machine-diffable across PRs.
+//! Results print as a table and land in `BENCH_net.json` under
+//! [`netchain_telemetry::artifact_dir`] (`$NETCHAIN_ARTIFACT_DIR`, else the
+//! working directory) so the perf trajectory is machine-diffable across PRs.
 
 use netchain_fabric::WorkloadSpec;
 use netchain_net::{
@@ -415,10 +416,10 @@ pub fn run_cli(smoke: bool) {
             ]),
         ),
     ]);
-    let bench_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
-    match std::fs::write(bench_path, summary.render() + "\n") {
-        Ok(()) => println!("bench summary: {bench_path}"),
-        Err(e) => eprintln!("bench summary not written ({bench_path}): {e}"),
+    let bench_path = netchain_telemetry::artifact_dir().join("BENCH_net.json");
+    match std::fs::write(&bench_path, summary.render() + "\n") {
+        Ok(()) => println!("bench summary: {}", bench_path.display()),
+        Err(e) => eprintln!("bench summary not written ({}): {e}", bench_path.display()),
     }
 
     if let Some(path) = artifact.write() {

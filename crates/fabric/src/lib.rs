@@ -29,12 +29,14 @@
 //!   locks, index caching and batched publication to minimise cross-core
 //!   traffic.
 //! * **Batching everywhere**: frames are pulled in bursts (default 32),
-//!   chains execute in waves through [`netchain_switch::NetChainSwitch::step_batch`],
-//!   and replies are emitted through [`netchain_wire::BatchEncoder`] into one
-//!   contiguous buffer.
-//! * **Zero-copy parsing**: shards decode queries with
-//!   [`netchain_wire::PacketView`], which validates once and reads fields in
-//!   place; the read fast path allocates nothing on parse.
+//!   chains execute in waves through
+//!   [`netchain_switch::NetChainSwitch::step_batch_staged`], and replies are
+//!   emitted through [`netchain_wire::BatchEncoder`] into one contiguous
+//!   buffer.
+//! * **Zero-copy parsing**: shards validate and parse each chunk of a burst
+//!   in one branch-free pass with [`netchain_wire::BatchView`]; probed reads
+//!   answer straight from the query frame and allocate nothing, and every
+//!   other packet is materialised into a pooled buffer.
 //! * **Closed-loop load generation** ([`loadgen`]): clients reuse
 //!   [`netchain_core::AgentCore`] — the same sans-IO agent the simulator and
 //!   UDP deployments use — for packet construction, reply matching and

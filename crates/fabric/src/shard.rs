@@ -16,15 +16,16 @@
 //! to the switch together, keeping that switch's tables hot while the burst
 //! flows through the chain stage by stage, like a hardware pipeline.
 //!
-//! The first wave runs as an explicit **staged pipeline**
+//! One executor runs every wave. Wave 1 is an explicit **staged pipeline**
 //! ([`Shard::process_burst`]): validate+parse a chunk of up to
 //! [`BATCH_WIDTH`] frames branch-free into a structure-of-arrays scratch,
 //! batch-hash all keys, probe the destination switches' indexes with the
 //! precomputed hashes, then execute — read queries whose probe succeeded
 //! answer straight from the register arrays without ever materialising an
-//! owned packet. The pre-staging scalar path is kept as
-//! [`Shard::process_burst_scalar`], the semantic baseline the staged path is
-//! differentially tested against.
+//! owned packet. Later waves (chain hops, failover re-routes) enter the same
+//! group executor as owned packets. [`Shard::process_burst_scalar`] is the
+//! same executor with the fast read lane switched off: the reference the
+//! fast lane is differentially tested and benchmarked against.
 //!
 //! ## Control plane hooks
 //!
@@ -67,7 +68,7 @@ use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, EvidenceOp, HopRole, PacketTrace, TraceConfig, TraceSink,
 };
 use netchain_wire::{
-    BatchEncoder, BatchView, Ipv4Addr, Key, NetChainPacket, OpCode, PacketPool, PacketView, Value,
+    BatchEncoder, BatchView, Ipv4Addr, Key, NetChainPacket, OpCode, PacketPool, ParsedBatch, Value,
     BATCH_WIDTH,
 };
 use std::collections::{HashMap, HashSet};
@@ -101,11 +102,10 @@ pub struct Shard {
     /// replica state is frozen as of the kill (fail-stop).
     failed: HashSet<Ipv4Addr>,
     stats: ShardStats,
-    /// Scratch: the current wave of in-flight packets (reused across bursts).
-    wave: Vec<NetChainPacket>,
+    /// Scratch: the packets the current wave forwarded to the next chain
+    /// hop, and a spare allocation to swap in (both reused across bursts).
     next_wave: Vec<NetChainPacket>,
-    group: Vec<NetChainPacket>,
-    actions: Vec<SwitchAction>,
+    wave: Vec<NetChainPacket>,
     /// Retired packets whose allocations the parse path reuses.
     pool: PacketPool,
     /// Staged-pipeline scratch: the stage-3 probe inputs gathered per
@@ -159,10 +159,8 @@ impl Shard {
             switches,
             failed: HashSet::new(),
             stats: ShardStats::default(),
-            wave: Vec::new(),
             next_wave: Vec::new(),
-            group: Vec::new(),
-            actions: Vec::new(),
+            wave: Vec::new(),
             pool: PacketPool::new(),
             probe_keys: Vec::new(),
             probe_hashes: Vec::new(),
@@ -333,8 +331,8 @@ impl Shard {
     /// Processes one burst of ingress frames to completion, encoding every
     /// generated reply into `replies` (in completion order).
     ///
-    /// This is the **staged** hot path, run in four explicit stages over
-    /// chunks of up to [`BATCH_WIDTH`] frames:
+    /// Wave 1 runs four explicit stages over chunks of up to [`BATCH_WIDTH`]
+    /// frames:
     ///
     /// 1. **Validate + parse** — [`BatchView::parse`] runs the branch-free
     ///    [`netchain_wire::validate_frame`] over the chunk and fills a
@@ -350,34 +348,54 @@ impl Shard {
     /// 4. **Execute** — [`NetChainSwitch::step_batch_staged`] runs the wave
     ///    groups in frame order: probed reads ride the fast lane (the reply
     ///    is emitted straight from the query frame and the register arrays,
-    ///    no owned packet), everything else takes the scalar path unchanged.
+    ///    no owned packet), everything else is materialised through the
+    ///    packet pool and handled by [`NetChainSwitch::handle`].
     ///
-    /// Chain hops past the first wave continue through the same wave loop as
-    /// [`Shard::process_burst_scalar`]; semantics — per-key ordering within a
-    /// burst, reply order, stats, trace stamps — are identical to the scalar
-    /// path (pinned by tests).
+    /// Chain hops past the first wave (writes walking their chains, failover
+    /// re-routes, …) go through the same group executor as owned packets.
     pub fn process_burst<'a>(
         &mut self,
         frames: impl Iterator<Item = &'a [u8]>,
         replies: &mut BatchEncoder,
     ) {
-        debug_assert!(self.wave.is_empty());
+        self.run_burst(frames, replies, true);
+    }
+
+    /// The reference the fast lane is tested and benchmarked against: the
+    /// same executor as [`Shard::process_burst`] with stages 2–3 and the
+    /// fast read lane switched off, so every valid frame is materialised
+    /// into an owned packet and handled by [`NetChainSwitch::handle`].
+    /// Stats, reply bytes and per-switch state are identical to
+    /// `process_burst` (pinned by tests).
+    pub fn process_burst_scalar<'a>(
+        &mut self,
+        frames: impl Iterator<Item = &'a [u8]>,
+        replies: &mut BatchEncoder,
+    ) {
+        self.run_burst(frames, replies, false);
+    }
+
+    /// The one burst executor behind both entry points; `fast_lane` gates
+    /// stages 2–3 and the borrowed read lane.
+    fn run_burst<'a>(
+        &mut self,
+        frames: impl Iterator<Item = &'a [u8]>,
+        replies: &mut BatchEncoder,
+        fast_lane: bool,
+    ) {
+        debug_assert!(self.next_wave.is_empty());
         let mut frames = frames.fuse();
         let mut chunk: [&'a [u8]; BATCH_WIDTH] = [&[]; BATCH_WIDTH];
         let mut items: Vec<(Ipv4Addr, StagedPacket<'a>)> = Vec::with_capacity(BATCH_WIDTH);
         let mut group: Vec<StagedPacket<'a>> = Vec::with_capacity(BATCH_WIDTH);
         let mut started = false;
         loop {
-            let mut n = 0;
-            while n < BATCH_WIDTH {
-                match frames.next() {
-                    Some(f) => {
-                        chunk[n] = f;
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
+            // `chunk` first: a full chunk leaves the next frame unconsumed.
+            let n = chunk
+                .iter_mut()
+                .zip(&mut frames)
+                .map(|(c, f)| *c = f)
+                .count();
             if n == 0 {
                 break;
             }
@@ -397,74 +415,17 @@ impl Shard {
                 self.stats.waves += 1;
             }
 
-            // Stage 2: hash every key lane in one pass.
-            let mut hashes = [0u64; BATCH_WIDTH];
-            stable_hash_batch(batch.keys(), &mut hashes);
-
-            // Stage 3: pick the fast-lane reads and probe their slots. A lane
-            // is eligible iff the switch would run exactly `process_read`
-            // followed by an unobstructed reply bounce: a pure read query
-            // (no carried value, so no recirculation accounting) addressed
-            // to a live, active switch with no failover rules installed.
+            // Stages 2–3: hash the keys and probe the fast-lane reads' slots.
             let mut slots: [Option<usize>; BATCH_WIDTH] = [None; BATCH_WIDTH];
-            let mut fast: u32 = 0;
-            let any_failed = !self.failed.is_empty();
-            let mut last_dst = 0u32;
-            let mut last_ok = false;
-            for i in 0..n {
-                if !batch.is_netchain(i)
-                    || batch.op(i) != OpCode::Read.to_u8()
-                    || batch.value_len(i) != 0
-                {
-                    continue;
-                }
-                // Lanes repeating the previous destination reuse its verdict
-                // (bursts cluster by chain, so this collapses most lookups).
-                let dst_u32 = batch.dst(i);
-                if dst_u32 != last_dst || i == 0 {
-                    last_dst = dst_u32;
-                    let dst = Ipv4Addr(dst_u32.to_be_bytes());
-                    last_ok = (!any_failed || !self.failed.contains(&dst))
-                        && self
-                            .switches
-                            .get(&dst)
-                            .is_some_and(|sw| sw.is_active() && sw.forwarding().is_empty());
-                }
-                if last_ok {
-                    fast |= 1 << i;
-                }
-            }
-            let mut pending = fast;
-            while pending != 0 {
-                let first = pending.trailing_zeros() as usize;
-                let dst_u32 = batch.dst(first);
-                self.probe_keys.clear();
-                self.probe_hashes.clear();
-                self.probe_lanes.clear();
-                self.probe_out.clear();
-                let mut rest = pending;
-                while rest != 0 {
-                    let i = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    if batch.dst(i) == dst_u32 {
-                        self.probe_keys.push(batch.key(i));
-                        self.probe_hashes.push(hashes[i]);
-                        self.probe_lanes.push(i);
-                        pending &= !(1 << i);
-                    }
-                }
-                let dst = Ipv4Addr(dst_u32.to_be_bytes());
-                let sw = self.switches.get(&dst).expect("eligibility checked above");
-                sw.kv()
-                    .probe_slots(&self.probe_keys, &self.probe_hashes, &mut self.probe_out);
-                for (slot, &lane) in self.probe_out.iter().zip(&self.probe_lanes) {
-                    slots[lane] = *slot;
-                }
-            }
+            let fast = if fast_lane {
+                self.probe_fast_reads(batch, n, &mut slots)
+            } else {
+                0
+            };
 
             // Build the chunk's wave-1 items in frame order: fast-lane reads
             // borrow their frame, everything else is materialised through the
-            // packet pool exactly like the scalar parse.
+            // packet pool.
             items.clear();
             for (i, &slot) in slots.iter().enumerate().take(n) {
                 if !batch.is_valid(i) {
@@ -486,205 +447,182 @@ impl Shard {
                     items.push((pkt.ip.dst, StagedPacket::Owned(pkt)));
                 }
             }
-
-            // Stage 4: execute the chunk's wave-1 groups (consecutive items
-            // with the same destination, as in the scalar wave loop).
-            let mut iter = items.drain(..).peekable();
-            while let Some((dst, item)) = iter.next() {
-                group.push(item);
-                while iter.peek().is_some_and(|(d, _)| *d == dst) {
-                    group.push(iter.next().expect("peek said there is one").1);
-                }
-                let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
-                    self.gateway_ip()
-                } else {
-                    Some(dst)
-                };
-                if let (Some(tracer), Some(hop)) = (&mut self.tracer, target) {
-                    // One clock read per wave group, as on the scalar path.
-                    // Evidence (a pre-execution register read) is gathered
-                    // only for packets the sink actually samples, so the
-                    // common unsampled packet costs one hash + one branch.
-                    let hop_ip = u32::from_be_bytes(hop.0);
-                    let at_ns = tracer.t0.elapsed().as_nanos() as u64;
-                    let sw = self.switches.get(&hop);
-                    for item in &group {
-                        match item {
-                            StagedPacket::FastRead {
-                                slot,
-                                key,
-                                client,
-                                request_id,
-                                ..
-                            } => {
-                                let id = trace_id(u32::from_be_bytes(client.0), *request_id);
-                                if !tracer.sink.samples(id) {
-                                    continue;
-                                }
-                                // Fast-lane eligibility pinned hop == dst, so
-                                // the stage-3 slot is this switch's.
-                                match sw {
-                                    Some(sw) => {
-                                        let kv = sw.kv();
-                                        let (ok, (session, seq)) =
-                                            match slot.filter(|&s| kv.is_valid(s)) {
-                                                Some(s) => (true, kv.ordering(s)),
-                                                None => (false, (0, 0)),
-                                            };
-                                        tracer.sink.stamp_with(
-                                            id,
-                                            hop_ip,
-                                            at_ns,
-                                            Evidence {
-                                                op: EvidenceOp::Read,
-                                                role: HopRole::Tail,
-                                                ok,
-                                                key_fp: key_fingerprint(key.stable_hash()),
-                                                session,
-                                                seq,
-                                            },
-                                        );
-                                    }
-                                    None => tracer.sink.stamp(id, hop_ip, at_ns),
-                                }
-                            }
-                            StagedPacket::Owned(p) => {
-                                let id =
-                                    trace_id(u32::from_be_bytes(p.ip.src.0), p.netchain.request_id);
-                                if !tracer.sink.samples(id) {
-                                    continue;
-                                }
-                                match sw.and_then(|sw| query_evidence(sw, &p.netchain)) {
-                                    Some(ev) => tracer.sink.stamp_with(id, hop_ip, at_ns, ev),
-                                    None => tracer.sink.stamp(id, hop_ip, at_ns),
-                                }
-                            }
-                        }
-                    }
-                }
-                match target.and_then(|ip| self.switches.get_mut(&ip)) {
-                    Some(sw) => {
-                        self.outcomes.clear();
-                        sw.step_batch_staged(group.drain(..), replies, &mut self.outcomes);
-                        for outcome in self.outcomes.drain(..) {
-                            match outcome {
-                                StagedOutcome::FastReply { client, request_id } => {
-                                    self.stats.replies += 1;
-                                    if let Some(tracer) = &mut self.tracer {
-                                        tracer.sink.finish(trace_id(
-                                            u32::from_be_bytes(client.0),
-                                            request_id,
-                                        ));
-                                    }
-                                }
-                                StagedOutcome::Reply(p) => {
-                                    self.stats.replies += 1;
-                                    if let Some(tracer) = &mut self.tracer {
-                                        tracer.sink.finish(trace_id(
-                                            u32::from_be_bytes(p.ip.dst.0),
-                                            p.netchain.request_id,
-                                        ));
-                                    }
-                                    self.pool.put(p);
-                                }
-                                StagedOutcome::Action(SwitchAction::Forward(p)) => {
-                                    if p.ip.dst == dst && target != Some(dst) {
-                                        self.stats.unroutable += 1;
-                                        self.pool.put(p);
-                                    } else {
-                                        self.next_wave.push(p);
-                                    }
-                                }
-                                StagedOutcome::Action(SwitchAction::Drop(DropReason::Blocked)) => {
-                                    self.stats.drops += 1;
-                                    self.stats.blocked += 1;
-                                }
-                                StagedOutcome::Action(SwitchAction::Drop(_)) => {
-                                    self.stats.drops += 1
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        self.stats.unroutable += group.len() as u64;
-                        for item in group.drain(..) {
-                            if let StagedPacket::Owned(p) = item {
-                                self.pool.put(p);
-                            }
-                        }
-                    }
-                }
-            }
+            // Stage 4: execute the chunk's wave-1 groups.
+            self.run_wave(items.drain(..), &mut group, replies);
         }
 
-        // Chain hops past the first wave continue through the shared wave
-        // loop (writes traversing their chains, failover re-routes, …).
-        std::mem::swap(&mut self.wave, &mut self.next_wave);
-        self.run_waves(replies);
+        // Later waves: the packets wave 1 forwarded, one wave per chain hop.
+        while !self.next_wave.is_empty() {
+            self.stats.waves += 1;
+            let mut wave = std::mem::replace(&mut self.next_wave, std::mem::take(&mut self.wave));
+            self.run_wave(
+                wave.drain(..).map(|p| (p.ip.dst, StagedPacket::Owned(p))),
+                &mut group,
+                replies,
+            );
+            // Reuse the drained wave allocation for the next round.
+            self.wave = wave;
+        }
     }
 
-    /// The pre-staging scalar reference path: parses every frame into an
-    /// owned packet with the zero-copy [`PacketView`] and runs the wave loop
-    /// from the first hop. Kept as the semantic baseline the staged
-    /// [`Shard::process_burst`] is differentially tested (and benchmarked)
-    /// against.
+    /// Stages 2–3 for one chunk: picks the fast-lane reads, hashes the keys
+    /// and probes each eligible lane's register slot into `slots`. Returns
+    /// the fast-lane bitmask.
     ///
-    /// Malformed frames are counted and skipped. The owned conversion reuses
-    /// pooled packet buffers ([`PacketView::to_owned_into`]), so in steady
-    /// state this path does not allocate at all — not even for writes.
-    pub fn process_burst_scalar<'a>(
+    /// A lane is eligible iff the switch would run exactly `process_read`
+    /// followed by an unobstructed reply bounce: a pure read query (no
+    /// carried value, so no recirculation accounting) addressed to a live,
+    /// active switch with no failover rules installed.
+    fn probe_fast_reads(
         &mut self,
-        frames: impl Iterator<Item = &'a [u8]>,
+        batch: &ParsedBatch,
+        n: usize,
+        slots: &mut [Option<usize>; BATCH_WIDTH],
+    ) -> u32 {
+        let mut hashes = [0u64; BATCH_WIDTH];
+        stable_hash_batch(batch.keys(), &mut hashes);
+        let mut fast: u32 = 0;
+        let any_failed = !self.failed.is_empty();
+        let mut last_dst = 0u32;
+        let mut last_ok = false;
+        for i in 0..n {
+            if !batch.is_netchain(i)
+                || batch.op(i) != OpCode::Read.to_u8()
+                || batch.value_len(i) != 0
+            {
+                continue;
+            }
+            // Lanes repeating the previous destination reuse its verdict
+            // (bursts cluster by chain, so this collapses most lookups).
+            let dst_u32 = batch.dst(i);
+            if dst_u32 != last_dst || i == 0 {
+                last_dst = dst_u32;
+                let dst = Ipv4Addr(dst_u32.to_be_bytes());
+                last_ok = (!any_failed || !self.failed.contains(&dst))
+                    && self
+                        .switches
+                        .get(&dst)
+                        .is_some_and(|sw| sw.is_active() && sw.forwarding().is_empty());
+            }
+            if last_ok {
+                fast |= 1 << i;
+            }
+        }
+        let mut pending = fast;
+        while pending != 0 {
+            let first = pending.trailing_zeros() as usize;
+            let dst_u32 = batch.dst(first);
+            self.probe_keys.clear();
+            self.probe_hashes.clear();
+            self.probe_lanes.clear();
+            self.probe_out.clear();
+            let mut rest = pending;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                if batch.dst(i) == dst_u32 {
+                    self.probe_keys.push(batch.key(i));
+                    self.probe_hashes.push(hashes[i]);
+                    self.probe_lanes.push(i);
+                    pending &= !(1 << i);
+                }
+            }
+            let dst = Ipv4Addr(dst_u32.to_be_bytes());
+            let sw = self.switches.get(&dst).expect("eligibility checked above");
+            sw.kv()
+                .probe_slots(&self.probe_keys, &self.probe_hashes, &mut self.probe_out);
+            for (slot, &lane) in self.probe_out.iter().zip(&self.probe_lanes) {
+                slots[lane] = *slot;
+            }
+        }
+        fast
+    }
+
+    /// Splits one wave's items into groups of consecutive items addressed to
+    /// the same switch and executes each group in order.
+    fn run_wave<'a>(
+        &mut self,
+        items: impl Iterator<Item = (Ipv4Addr, StagedPacket<'a>)>,
+        group: &mut Vec<StagedPacket<'a>>,
         replies: &mut BatchEncoder,
     ) {
-        debug_assert!(self.wave.is_empty());
-        for bytes in frames {
-            self.stats.frames_in += 1;
-            match PacketView::parse(bytes) {
-                Ok(view) => {
-                    let pkt = self.pool.take(&view);
-                    self.wave.push(pkt);
-                }
-                Err(_) => self.stats.parse_errors += 1,
+        let mut iter = items.peekable();
+        while let Some((dst, item)) = iter.next() {
+            group.push(item);
+            while iter.peek().is_some_and(|(d, _)| *d == dst) {
+                group.push(iter.next().expect("peek said there is one").1);
             }
+            self.execute_group(dst, group, replies);
         }
-        if self.wave.is_empty() {
-            return;
-        }
-        self.stats.bursts += 1;
-        self.run_waves(replies);
     }
 
-    /// Runs the in-flight waves (`self.wave`) to completion: group packets
-    /// addressed to the same switch and step them as one batch, collecting
-    /// each wave's continuing packets into the next.
-    fn run_waves(&mut self, replies: &mut BatchEncoder) {
-        while !self.wave.is_empty() {
-            self.stats.waves += 1;
-            let mut wave = std::mem::take(&mut self.wave);
-            let mut iter = wave.drain(..).peekable();
-            while let Some(pkt) = iter.next() {
-                let dst = pkt.ip.dst;
-                self.group.push(pkt);
-                while iter.peek().is_some_and(|p| p.ip.dst == dst) {
-                    self.group
-                        .push(iter.next().expect("peek said there is one"));
-                }
-                let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
-                    // The destination is dead or absent: hand the run to the
-                    // gateway switch, whose failover rules decide. No gateway
-                    // (everything failed) means the packets are unroutable.
-                    self.gateway_ip()
-                } else {
-                    Some(dst)
-                };
-                if let (Some(tracer), Some(hop)) = (&mut self.tracer, target) {
-                    // One clock read per wave group; evidence is gathered
-                    // only for sampled trace IDs.
-                    let hop_ip = u32::from_be_bytes(hop.0);
-                    let at_ns = tracer.t0.elapsed().as_nanos() as u64;
-                    let sw = self.switches.get(&hop);
-                    for p in &self.group {
+    /// The group executor every wave runs: resolves the group's target
+    /// (its destination, or the gateway when that is dead or absent),
+    /// stamps sampled traces, steps the target switch over the group and
+    /// dispatches the outcomes — replies are counted, chain forwards join
+    /// the next wave, drops and unroutable packets are counted.
+    fn execute_group<'a>(
+        &mut self,
+        dst: Ipv4Addr,
+        group: &mut Vec<StagedPacket<'a>>,
+        replies: &mut BatchEncoder,
+    ) {
+        let target = if self.failed.contains(&dst) || !self.switches.contains_key(&dst) {
+            // The destination is dead or absent: hand the group to the
+            // gateway switch, whose failover rules decide. No gateway
+            // (everything failed) means the packets are unroutable.
+            self.gateway_ip()
+        } else {
+            Some(dst)
+        };
+        if let (Some(tracer), Some(hop)) = (&mut self.tracer, target) {
+            // One clock read per wave group. Evidence (a pre-execution
+            // register read) is gathered only for packets the sink actually
+            // samples, so the common unsampled packet costs one hash + one
+            // branch.
+            let hop_ip = u32::from_be_bytes(hop.0);
+            let at_ns = tracer.t0.elapsed().as_nanos() as u64;
+            let sw = self.switches.get(&hop);
+            for item in group.iter() {
+                match item {
+                    StagedPacket::FastRead {
+                        slot,
+                        key,
+                        client,
+                        request_id,
+                        ..
+                    } => {
+                        let id = trace_id(u32::from_be_bytes(client.0), *request_id);
+                        if !tracer.sink.samples(id) {
+                            continue;
+                        }
+                        // Fast-lane eligibility pinned hop == dst, so the
+                        // stage-3 slot is this switch's.
+                        match sw {
+                            Some(sw) => {
+                                let kv = sw.kv();
+                                let (ok, (session, seq)) = match slot.filter(|&s| kv.is_valid(s)) {
+                                    Some(s) => (true, kv.ordering(s)),
+                                    None => (false, (0, 0)),
+                                };
+                                tracer.sink.stamp_with(
+                                    id,
+                                    hop_ip,
+                                    at_ns,
+                                    Evidence {
+                                        op: EvidenceOp::Read,
+                                        role: HopRole::Tail,
+                                        ok,
+                                        key_fp: key_fingerprint(key.stable_hash()),
+                                        session,
+                                        seq,
+                                    },
+                                );
+                            }
+                            None => tracer.sink.stamp(id, hop_ip, at_ns),
+                        }
+                    }
+                    StagedPacket::Owned(p) => {
                         let id = trace_id(u32::from_be_bytes(p.ip.src.0), p.netchain.request_id);
                         if !tracer.sink.samples(id) {
                             continue;
@@ -695,56 +633,58 @@ impl Shard {
                         }
                     }
                 }
-                match target.and_then(|ip| self.switches.get_mut(&ip)) {
-                    Some(sw) => {
-                        self.actions.clear();
-                        sw.step_batch(self.group.drain(..), &mut self.actions);
-                        for action in self.actions.drain(..) {
-                            match action {
-                                SwitchAction::Forward(p) => {
-                                    if p.netchain.op.is_reply() {
-                                        self.stats.replies += 1;
-                                        if let Some(tracer) = &mut self.tracer {
-                                            // Replies carry the client in
-                                            // `ip.dst`; close the shard-side
-                                            // fragment.
-                                            tracer.sink.finish(trace_id(
-                                                u32::from_be_bytes(p.ip.dst.0),
-                                                p.netchain.request_id,
-                                            ));
-                                        }
-                                        replies.push(&p).expect("replies are bounded like queries");
-                                        self.pool.put(p);
-                                    } else if p.ip.dst == dst && target != Some(dst) {
-                                        // The gateway had no matching rule and
-                                        // passed the packet through unchanged:
-                                        // it would sail to the dead switch.
-                                        self.stats.unroutable += 1;
-                                        self.pool.put(p);
-                                    } else {
-                                        self.next_wave.push(p);
-                                    }
-                                }
-                                SwitchAction::Drop(DropReason::Blocked) => {
-                                    self.stats.drops += 1;
-                                    self.stats.blocked += 1;
-                                }
-                                SwitchAction::Drop(_) => self.stats.drops += 1,
-                            }
-                        }
-                    }
-                    None => {
-                        self.stats.unroutable += self.group.len() as u64;
-                        while let Some(p) = self.group.pop() {
-                            self.pool.put(p);
-                        }
-                    }
+            }
+        }
+        let Some(sw) = target.and_then(|ip| self.switches.get_mut(&ip)) else {
+            self.stats.unroutable += group.len() as u64;
+            for item in group.drain(..) {
+                if let StagedPacket::Owned(p) = item {
+                    self.pool.put(p);
                 }
             }
-            drop(iter);
-            // Reuse the drained wave allocation for the next round.
-            std::mem::swap(&mut wave, &mut self.next_wave);
-            self.wave = wave;
+            return;
+        };
+        self.outcomes.clear();
+        sw.step_batch_staged(group.drain(..), replies, &mut self.outcomes);
+        for outcome in self.outcomes.drain(..) {
+            match outcome {
+                StagedOutcome::FastReply { client, request_id } => {
+                    self.stats.replies += 1;
+                    if let Some(tracer) = &mut self.tracer {
+                        tracer
+                            .sink
+                            .finish(trace_id(u32::from_be_bytes(client.0), request_id));
+                    }
+                }
+                StagedOutcome::Reply(p) => {
+                    self.stats.replies += 1;
+                    if let Some(tracer) = &mut self.tracer {
+                        // Replies carry the client in `ip.dst`; close the
+                        // shard-side fragment.
+                        tracer.sink.finish(trace_id(
+                            u32::from_be_bytes(p.ip.dst.0),
+                            p.netchain.request_id,
+                        ));
+                    }
+                    self.pool.put(p);
+                }
+                StagedOutcome::Action(SwitchAction::Forward(p)) => {
+                    if p.ip.dst == dst && target != Some(dst) {
+                        // The gateway had no matching rule and passed the
+                        // packet through unchanged: it would sail to the
+                        // dead switch.
+                        self.stats.unroutable += 1;
+                        self.pool.put(p);
+                    } else {
+                        self.next_wave.push(p);
+                    }
+                }
+                StagedOutcome::Action(SwitchAction::Drop(DropReason::Blocked)) => {
+                    self.stats.drops += 1;
+                    self.stats.blocked += 1;
+                }
+                StagedOutcome::Action(SwitchAction::Drop(_)) => self.stats.drops += 1,
+            }
         }
     }
 }
@@ -753,7 +693,7 @@ impl Shard {
 mod tests {
     use super::*;
     use netchain_switch::FailoverAction;
-    use netchain_wire::{OpCode, QueryStatus};
+    use netchain_wire::{PacketView, QueryStatus};
 
     fn test_ring() -> HashRing {
         HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7)
@@ -932,26 +872,66 @@ mod tests {
                 }
             })
             .collect();
-        let mut staged_replies = BatchEncoder::new();
-        let mut scalar_replies = BatchEncoder::new();
-        staged.process_burst(frames.iter().map(|f| f.as_slice()), &mut staged_replies);
-        scalar.process_burst_scalar(frames.iter().map(|f| f.as_slice()), &mut scalar_replies);
-        assert_eq!(staged.stats(), scalar.stats());
-        assert_eq!(staged_replies.len(), scalar_replies.len());
-        for (i, (a, b)) in staged_replies
-            .frames()
-            .zip(scalar_replies.frames())
-            .enumerate()
-        {
-            assert_eq!(a, b, "reply frame {i} diverges from the scalar bytes");
-        }
-        for ip in ring.switches() {
+        // Fast lane on and off must agree on every input, healthy or not.
+        let compare = |staged: &mut Shard, scalar: &mut Shard, phase: &str| {
+            let mut staged_replies = BatchEncoder::new();
+            let mut scalar_replies = BatchEncoder::new();
+            staged.process_burst(frames.iter().map(|f| f.as_slice()), &mut staged_replies);
+            scalar.process_burst_scalar(frames.iter().map(|f| f.as_slice()), &mut scalar_replies);
             assert_eq!(
-                staged.switch(*ip).unwrap().stats(),
-                scalar.switch(*ip).unwrap().stats(),
-                "switch {ip:?} stats diverge"
+                staged.stats(),
+                scalar.stats(),
+                "{phase}: shard stats diverge"
             );
-        }
+            assert_eq!(staged_replies.len(), scalar_replies.len(), "{phase}");
+            for (i, (a, b)) in staged_replies
+                .frames()
+                .zip(scalar_replies.frames())
+                .enumerate()
+            {
+                assert_eq!(
+                    a, b,
+                    "{phase}: reply frame {i} diverges from the scalar bytes"
+                );
+            }
+            for ip in ring.switches() {
+                assert_eq!(
+                    staged.switch(*ip).unwrap().stats(),
+                    scalar.switch(*ip).unwrap().stats(),
+                    "{phase}: switch {ip:?} stats diverge"
+                );
+            }
+        };
+        compare(&mut staged, &mut scalar, "healthy");
+
+        // A killed switch with no rule: its traffic falls to the gateway,
+        // which passes it through unchanged, so it is counted unroutable.
+        let victim = Ipv4Addr::for_switch(1);
+        staged.kill_switch(victim);
+        scalar.kill_switch(victim);
+        compare(&mut staged, &mut scalar, "killed, no rule");
+        assert!(
+            staged.stats().unroutable > 0,
+            "the burst must reach the victim"
+        );
+
+        // The same kill with a fast-failover rule: the gateway re-routes
+        // around the victim, and the installed rule turns the fast lane off
+        // on every live switch.
+        let rule = FailoverRule {
+            priority: 1,
+            scope: RuleScope::All,
+            action: FailoverAction::ChainFailover,
+        };
+        staged.install_rule(victim, rule);
+        scalar.install_rule(victim, rule);
+        let unroutable = staged.stats().unroutable;
+        compare(&mut staged, &mut scalar, "killed, chain failover");
+        assert_eq!(
+            staged.stats().unroutable,
+            unroutable,
+            "failover left packets unroutable"
+        );
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The batched, keyspace-sharded socket dataplane.
 //!
-//! This is the fabric's architecture carried onto real kernel UDP sockets.
-//! Where the legacy [`crate::Deployment`] runs one thread per emulated
-//! switch — single-packet `recv_from`, an owned parse, one mutex-guarded
-//! [`netchain_switch::NetChainSwitch::handle`] call, one `send_to` — the
-//! dataplane runs one worker thread per **keyspace shard**:
+//! This is the fabric's architecture carried onto real kernel UDP sockets:
+//! rather than one thread per emulated switch, the dataplane runs one
+//! worker thread per **keyspace shard**:
 //!
 //! * Ingress is burst I/O through the vendored [`mmsg`] shim: one
 //!   `recvmmsg` call fills a whole [`RecvQueue`] of fixed-size slots
@@ -241,7 +239,9 @@ pub struct NetDataplane {
     ring: HashRing,
     num_shards: usize,
     workers: Vec<Worker>,
-    routes: Arc<RwLock<HashMap<Ipv4Addr, SocketAddr>>>,
+    /// Reply routes (client virtual IP → real socket address); shared with
+    /// [`crate::NetClient`] so a dropped client can deregister itself.
+    pub(crate) routes: Arc<RwLock<HashMap<Ipv4Addr, SocketAddr>>>,
     shutdown: Arc<AtomicBool>,
     /// Wall-clock origin every worker's trace stamps are relative to.
     epoch: std::time::Instant,
@@ -471,75 +471,13 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::tests::connect;
     use netchain_core::{AgentConfig, AgentCore, ChainDirectory, KvOp};
-    use netchain_sim::{SimDuration, SimTime};
+    use netchain_sim::SimTime;
     use netchain_wire::{NetChainPacket, PacketView, QueryStatus};
-    use std::time::Instant;
 
     fn test_ring() -> HashRing {
         HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7)
-    }
-
-    /// Synchronous one-op-at-a-time client over the dataplane, for tests.
-    struct TestClient {
-        socket: UdpSocket,
-        agent: AgentCore,
-        epoch: Instant,
-    }
-
-    impl TestClient {
-        fn connect(plane: &NetDataplane, id: u32) -> TestClient {
-            let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client");
-            socket
-                .set_read_timeout(Some(Duration::from_millis(10)))
-                .expect("timeout");
-            let ip = Ipv4Addr::for_host(id);
-            plane.register_client(ip, socket.local_addr().expect("addr"));
-            let config = AgentConfig::new(ip)
-                .with_timeout(SimDuration::from_millis(50))
-                .with_max_retries(5);
-            TestClient {
-                socket,
-                agent: AgentCore::new(config, ChainDirectory::new(plane.ring().clone())),
-                epoch: Instant::now(),
-            }
-        }
-
-        fn now(&self) -> SimTime {
-            SimTime(self.epoch.elapsed().as_nanos() as u64)
-        }
-
-        fn execute(&mut self, plane: &NetDataplane, op: KvOp) -> netchain_core::CompletedQuery {
-            let key = op.key();
-            let (request_id, pkt) = self.agent.begin(self.now(), op);
-            let dest = plane.addr_of_key(&key);
-            self.socket
-                .send_to(&pkt.to_bytes(), dest)
-                .expect("send query");
-            let start = Instant::now();
-            let mut buf = [0u8; MAX_FRAME_LEN + 1];
-            loop {
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "op {request_id} timed out"
-                );
-                if let Ok((len, _)) = self.socket.recv_from(&mut buf) {
-                    if let Ok(reply) = NetChainPacket::from_bytes(&buf[..len]) {
-                        if let Some(done) = self.agent.on_reply(self.now(), &reply) {
-                            if done.request_id == request_id {
-                                return done;
-                            }
-                        }
-                    }
-                }
-                for retry in self.agent.poll_retries(self.now()).retransmit {
-                    let key = retry.netchain.key;
-                    let _ = self
-                        .socket
-                        .send_to(&retry.to_bytes(), plane.addr_of_key(&key));
-                }
-            }
-        }
     }
 
     #[test]
@@ -549,38 +487,30 @@ mod tests {
         let populate: Vec<(Key, Value)> = keys.iter().map(|&k| (k, Value::from_u64(0))).collect();
         let config = NetConfig::new(ring, 2, PipelineConfig::tiny(64));
         let plane = NetDataplane::start(config, &populate).expect("start");
-        let mut client = TestClient::connect(&plane, 0);
+        let mut client = connect(&plane, 0);
         for (i, &key) in keys.iter().enumerate() {
-            let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(100 + i as u64)));
-            assert_eq!(w.status, Some(QueryStatus::Ok));
+            let w = client.write(key, Value::from_u64(100 + i as u64));
+            assert_eq!(w.expect("write").status, Some(QueryStatus::Ok));
         }
         for (i, &key) in keys.iter().enumerate() {
-            let r = client.execute(&plane, KvOp::Read(key));
+            let r = client.read(key).expect("read");
             assert_eq!(r.value.as_u64(), Some(100 + i as u64));
+            assert!(r.seq >= 1);
         }
-        let cas_ok = client.execute(
-            &plane,
-            KvOp::Cas {
-                key: keys[0],
-                expected: 100,
-                new: 7,
-            },
-        );
+        // Lock-style CAS: succeeds, then conflicts.
+        let cas_ok = client.cas(keys[0], 100, 7).expect("cas");
         assert_eq!(cas_ok.status, Some(QueryStatus::Ok));
-        let cas_fail = client.execute(
-            &plane,
-            KvOp::Cas {
-                key: keys[0],
-                expected: 100,
-                new: 8,
-            },
-        );
+        let cas_fail = client.cas(keys[0], 100, 8).expect("cas");
         assert_eq!(cas_fail.status, Some(QueryStatus::CasFailed));
-        assert_eq!(client.agent.stats().version_regressions, 0);
+        assert_eq!(client.agent_stats().version_regressions, 0);
 
         let report = plane.shutdown();
-        // Every write landed on every chain replica of its owning shard.
+        // The write reply comes from the tail, so by chain replication every
+        // replica of the owning shard already applied it. Every chain member
+        // must hold the key — a replica that never stored it is a
+        // replication failure, not a replica to skip.
         for (i, &key) in keys.iter().enumerate() {
+            assert_eq!(plane_chain(&key).len(), 3);
             let shard = report
                 .shards
                 .iter()
@@ -630,10 +560,10 @@ mod tests {
         let mut config = NetConfig::new(ring, 2, PipelineConfig::tiny(64));
         config.io_mode = IoMode::Single;
         let plane = NetDataplane::start(config, &populate).expect("start");
-        let mut client = TestClient::connect(&plane, 0);
-        let w = client.execute(&plane, KvOp::Write(key, Value::from_u64(5)));
+        let mut client = connect(&plane, 0);
+        let w = client.write(key, Value::from_u64(5)).expect("write");
         assert_eq!(w.status, Some(QueryStatus::Ok));
-        let r = client.execute(&plane, KvOp::Read(key));
+        let r = client.read(key).expect("read");
         assert_eq!(r.value.as_u64(), Some(5));
         plane.shutdown();
     }

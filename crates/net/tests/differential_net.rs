@@ -6,14 +6,13 @@
 //! the fabric's `differential_sim` test: any divergence in chain routing,
 //! per-op behaviour, or stored sequence numbers fails loudly.
 
-use std::net::UdpSocket;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use netchain_core::{AgentCore, ClusterConfig, CompletedQuery, KvOp, NetChainCluster};
-use netchain_net::{NetConfig, NetDataplane};
-use netchain_sim::{SimDuration, SimTime};
+use netchain_core::{ClusterConfig, CompletedQuery, KvOp, NetChainCluster};
+use netchain_net::{NetClient, NetConfig, NetDataplane};
+use netchain_sim::SimDuration;
 use netchain_switch::{ExportedEntry, PipelineConfig};
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, Value, MAX_FRAME_LEN};
+use netchain_wire::{Ipv4Addr, Key, Value};
 
 /// The scripted sequence both executions run: writes, reads (hits and
 /// misses), contended CAS (success then failure), deletes, and a
@@ -74,46 +73,6 @@ fn kv_snapshot(entries: impl IntoIterator<Item = ExportedEntry>) -> Vec<Exported
     v
 }
 
-/// Executes one op against the dataplane over a real socket and returns the
-/// completion, retransmitting on (loopback-rare) loss.
-fn execute(
-    socket: &UdpSocket,
-    agent: &mut AgentCore,
-    plane: &NetDataplane,
-    epoch: Instant,
-    op: KvOp,
-) -> CompletedQuery {
-    let now = || SimTime(epoch.elapsed().as_nanos() as u64);
-    let key = op.key();
-    let (request_id, pkt) = agent.begin(now(), op);
-    socket
-        .send_to(&pkt.to_bytes(), plane.addr_of_key(&key))
-        .expect("send query");
-    let start = Instant::now();
-    let mut buf = [0u8; MAX_FRAME_LEN + 1];
-    loop {
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "op {request_id} timed out"
-        );
-        if let Ok((len, _)) = socket.recv_from(&mut buf) {
-            if let Ok(reply) = NetChainPacket::from_bytes(&buf[..len]) {
-                if let Some(done) = agent.on_reply(now(), &reply) {
-                    assert_eq!(
-                        done.request_id, request_id,
-                        "sequential client completed a different op"
-                    );
-                    return done;
-                }
-            }
-        }
-        for retry in agent.poll_retries(now()).retransmit {
-            let key = retry.netchain.key;
-            let _ = socket.send_to(&retry.to_bytes(), plane.addr_of_key(&key));
-        }
-    }
-}
-
 #[test]
 fn net_dataplane_matches_simulator_on_scripted_ops() {
     // Both executions share geometry: the testbed ring (4 switches) and a
@@ -149,19 +108,22 @@ fn net_dataplane_matches_simulator_on_scripted_ops() {
 
     // Same client logic: an AgentCore configured exactly like the simulated
     // host 0 (so request ids line up), driven sequentially over a socket.
-    let socket = UdpSocket::bind("127.0.0.1:0").expect("bind client");
-    socket
-        .set_read_timeout(Some(Duration::from_millis(10)))
-        .expect("timeout");
-    let agent_config = cluster.agent_config(0);
-    plane.register_client(agent_config.client_ip, socket.local_addr().expect("addr"));
-    let mut agent = AgentCore::new(agent_config, cluster.directory());
-    let epoch = Instant::now();
+    let mut client = NetClient::connect(&plane, cluster.agent_config(0), cluster.directory())
+        .expect("client socket");
     let net_results: Vec<CompletedQuery> = script()
         .into_iter()
-        .map(|op| execute(&socket, &mut agent, &plane, epoch, op))
+        .map(|op| {
+            client
+                .execute(op, Duration::from_secs(5))
+                .expect("op completes")
+        })
         .collect();
-    assert_eq!(agent.stats().version_regressions, 0);
+    assert_eq!(
+        client.late_completions(),
+        0,
+        "sequential client completed a different op"
+    );
+    assert_eq!(client.agent_stats().version_regressions, 0);
     let report = plane.shutdown();
 
     // ---- Reply-level comparison ----

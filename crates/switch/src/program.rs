@@ -73,7 +73,7 @@ pub enum StagedPacket<'a> {
         /// The query's request id.
         request_id: u64,
     },
-    /// Any other packet; handled exactly like [`NetChainSwitch::step_batch`].
+    /// Any other packet; handled exactly like [`NetChainSwitch::handle`].
     Owned(NetChainPacket),
 }
 
@@ -232,36 +232,22 @@ impl NetChainSwitch {
         self.session = 0;
     }
 
-    /// Handles a burst of packets in one call, appending one
-    /// [`SwitchAction`] per packet (in order) to `out`.
-    ///
-    /// This is the entry point the multi-core fabric (`netchain-fabric`)
-    /// uses: processing in bursts of ~32 amortises the per-call overhead and
-    /// keeps the match tables and register arrays hot in cache across the
-    /// burst, the software analogue of a hardware pipeline staying full. The
-    /// per-packet semantics are exactly [`Self::handle`] — a batch is a
+    /// Handles a burst of packets in one call — the entry point the
+    /// multi-core fabric (`netchain-fabric`) and the socket dataplane use —
+    /// pushing per-item outcomes to `out` **in item order**. Processing in
+    /// bursts of ~32 amortises the per-call overhead and keeps the match
+    /// tables and register arrays hot across the burst; a batch is a
     /// sequential application, not a transaction.
-    pub fn step_batch(
-        &mut self,
-        pkts: impl IntoIterator<Item = NetChainPacket>,
-        out: &mut Vec<SwitchAction>,
-    ) {
-        for pkt in pkts {
-            out.push(self.handle(pkt));
-        }
-    }
-
-    /// Stage 4 of the staged batch pipeline: executes a burst whose frames
-    /// were already validated (stage 1), hashed (stage 2) and probed
-    /// (stage 3), pushing per-item outcomes to `out` **in item order**.
     ///
+    /// This is stage 4 of the staged batch pipeline: the caller already
+    /// validated (stage 1), hashed (stage 2) and probed (stage 3) the frames.
     /// Fast-lane read queries never materialise a [`NetChainPacket`]: the
     /// reply is emitted straight from the query frame and the register arrays
-    /// into `replies`. Everything else goes through [`Self::handle`] exactly
-    /// as [`Self::step_batch`] would, and reply packets are *also* pushed
-    /// into `replies` so the encoder sees replies in the same order a scalar
-    /// pass would produce them. Stats, per-key ordering within the burst and
-    /// reply bytes are identical to the scalar path (pinned by tests).
+    /// into `replies`. Everything else goes through [`Self::handle`], and
+    /// reply packets are *also* pushed into `replies` so the encoder sees
+    /// replies in the same order a scalar pass would produce them. Stats,
+    /// per-key ordering within the burst and reply bytes are identical to
+    /// the scalar path (pinned by tests).
     pub fn step_batch_staged<'a>(
         &mut self,
         pkts: impl IntoIterator<Item = StagedPacket<'a>>,
@@ -972,7 +958,7 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_matches_sequential_handle() {
+    fn owned_staged_batch_matches_sequential_handle() {
         let mut batched = switch(0);
         let mut sequential = switch(0);
         let pkts: Vec<NetChainPacket> = (0..40)
@@ -987,8 +973,21 @@ mod tests {
                 }
             })
             .collect();
-        let mut batch_out = Vec::new();
-        batched.step_batch(pkts.clone(), &mut batch_out);
+        let mut replies = BatchEncoder::new();
+        let mut outcomes = Vec::new();
+        batched.step_batch_staged(
+            pkts.iter().cloned().map(StagedPacket::Owned),
+            &mut replies,
+            &mut outcomes,
+        );
+        let batch_out: Vec<SwitchAction> = outcomes
+            .into_iter()
+            .map(|o| match o {
+                StagedOutcome::Reply(p) => SwitchAction::Forward(p),
+                StagedOutcome::Action(a) => a,
+                StagedOutcome::FastReply { .. } => panic!("no fast-lane items were handed in"),
+            })
+            .collect();
         let seq_out: Vec<SwitchAction> = pkts.into_iter().map(|p| sequential.handle(p)).collect();
         assert_eq!(batch_out, seq_out);
         assert_eq!(batched.stats(), sequential.stats());

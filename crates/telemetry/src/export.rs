@@ -58,10 +58,14 @@ impl Json {
     /// Number mapping mirrors the enum: non-negative integers that fit a
     /// `u64` become [`Json::U64`]; everything else (fractions, exponents,
     /// negatives) becomes [`Json::F64`].
+    ///
+    /// Arrays and objects nested more than 128 levels deep are an error, so
+    /// hostile input cannot overflow the parser's stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -199,11 +203,18 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every artifact
+/// this crate writes nests a handful of levels; the bound keeps the
+/// recursive-descent parser's stack use small on any input.
+const MAX_JSON_DEPTH: usize = 128;
+
 /// Recursive-descent JSON reader over raw bytes. Errors carry the byte
 /// offset so a malformed bench file points at itself.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -241,8 +252,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
@@ -735,6 +760,22 @@ mod tests {
         for bad in ["{", "[1,", "\"unterminated", "{\"a\" 1}", "1 2", "nul", ""] {
             assert!(Json::parse(bad).is_err(), "accepted malformed: {bad}");
         }
+    }
+
+    #[test]
+    fn json_parse_bounds_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Hostile depth on a small stack must be an error, not an abort.
+        let hostile = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| Json::parse(&"[".repeat(200_000)).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(hostile);
     }
 
     #[test]

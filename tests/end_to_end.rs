@@ -164,11 +164,19 @@ fn middle_switch_failure_heals_without_regressions() {
 
 #[test]
 fn loopback_udp_deployment_round_trips() {
-    use netchain::net::{Deployment, DeploymentConfig};
-    let mut deployment = Deployment::start(DeploymentConfig::default()).expect("loopback sockets");
+    use netchain::core::{AgentConfig, ChainDirectory, HashRing};
+    use netchain::net::{NetClient, NetConfig, NetDataplane};
+    use netchain::switch::PipelineConfig;
+    let ring = HashRing::new((0..3).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
     let key = Key::from_name("it/loopback");
-    deployment.populate_key(key, &Value::from_u64(0));
-    let mut client = deployment.client().expect("client");
+    let config = NetConfig::new(ring, 2, PipelineConfig::tofino_prototype());
+    let plane =
+        NetDataplane::start(config, &[(key, Value::from_u64(0))]).expect("loopback sockets");
+    let agent = AgentConfig::new(Ipv4Addr::for_host(0))
+        .with_timeout(SimDuration::from_millis(50))
+        .with_max_retries(5);
+    let mut client = NetClient::connect(&plane, agent, ChainDirectory::new(plane.ring().clone()))
+        .expect("client");
     client.write(key, Value::from_u64(77)).expect("write");
     let read = client.read(key).expect("read");
     assert_eq!(read.value.as_u64(), Some(77));
