@@ -9,7 +9,7 @@
 
 use crate::directory::ChainDirectory;
 use crate::types::{CompletedQuery, KvOp};
-use netchain_sim::{LatencyStats, SimDuration, SimTime};
+use netchain_sim::{SimDuration, SimTime};
 use netchain_wire::{Ipv4Addr, NetChainPacket, OpCode, QueryStatus, Value};
 use std::collections::HashMap;
 
@@ -74,8 +74,6 @@ pub struct AgentStats {
     /// that were *concurrent* with the newer observation are exempt — two
     /// overlapping operations may legitimately complete in either order.
     pub version_regressions: u64,
-    /// Latency of completed queries (first transmission to reply).
-    pub latency: LatencyStats,
 }
 
 /// The result of a retry poll.
@@ -221,7 +219,6 @@ impl AgentCore {
         if pkt.netchain.status == QueryStatus::Ok {
             self.stats.ok += 1;
         }
-        self.stats.latency.record(latency);
 
         // Version monotonicity check (per-key, session-guarantee form): a
         // query issued *after* a newer version was observed must never expose

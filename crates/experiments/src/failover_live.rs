@@ -115,7 +115,7 @@ impl FailoverLiveParams {
             version_regressions: report.total_version_regressions(),
             unroutable: report.total_unroutable(),
             blocked: report.total_blocked(),
-            latency: report.latency.quantiles(),
+            latency: report.fabric.latency.quantiles(),
         }
     }
 }
@@ -210,8 +210,8 @@ fn export_run(
         "summary",
         vec![
             ("groups", Json::U64(u64::from(groups))),
-            ("completed_ops", Json::U64(report.completed_ops)),
-            ("ops_per_sec", Json::F64(report.ops_per_sec)),
+            ("completed_ops", Json::U64(report.fabric.completed_ops)),
+            ("ops_per_sec", Json::F64(report.fabric.ops_per_sec)),
             ("pre_failure", Json::F64(summary.pre_failure)),
             ("failover_mean", Json::F64(summary.failover_mean)),
             ("repair_mean", Json::F64(summary.repair_mean)),
@@ -229,6 +229,7 @@ fn export_run(
             ),
             ("unroutable", Json::U64(summary.unroutable)),
             ("blocked", Json::U64(summary.blocked)),
+            ("traces_dropped", Json::U64(report.fabric.traces_dropped)),
         ],
     );
     artifact.record(
@@ -256,12 +257,12 @@ fn export_run(
         "hops",
         vec![
             ("groups", Json::U64(u64::from(groups))),
-            ("summary", Json::from(&report.trace_summary())),
+            ("summary", Json::from(&report.fabric.trace_summary())),
         ],
     );
     // Full per-trace evidence records, so `chain_audit` can replay the run's
     // consistency story offline from the artifact alone.
-    for trace in &report.traces {
+    for trace in &report.fabric.traces {
         let mut fields = trace_record_fields(trace);
         fields.push(("run", Json::str(&run_label)));
         artifact.record("trace", fields);
@@ -296,7 +297,10 @@ fn check_or_dump(ok: bool, msg: &str, groups: u32, report: &LiveReport) {
             vec![("detail", Json::str(anomaly.describe()))],
         );
     }
-    recorder.record_trace_summary(report.elapsed.as_nanos() as u64, &report.trace_summary());
+    recorder.record_trace_summary(
+        report.fabric.elapsed.as_nanos() as u64,
+        &report.fabric.trace_summary(),
+    );
     if let Some(path) = recorder.dump(&format!("failover_live_{groups}")) {
         eprintln!(
             "failover_live: failure evidence dumped to {}",
@@ -349,11 +353,13 @@ pub fn run_cli(smoke: bool) {
              {} writes bounced off blocked groups, {} version regressions",
             summary.unroutable, summary.blocked, summary.version_regressions,
         );
-        let hops = report.trace_summary();
+        let hops = report.fabric.trace_summary();
         if let Some(path) = hops.dominant_path() {
             println!(
-                "traces ({groups} vgroups): {} sampled; dominant path {}\n",
+                "traces ({groups} vgroups): {} sampled, {} fragments dropped past the \
+                 sink cap; dominant path {}\n",
                 hops.traces,
+                report.fabric.traces_dropped,
                 netchain_telemetry::path_to_string(path),
             );
         }
@@ -418,7 +424,7 @@ mod tests {
         // Telemetry rides along: real latency quantiles and sampled traces.
         assert!(one.latency.count > 0 && one.latency.p999_ns >= one.latency.p50_ns);
         assert!(
-            !one_report.traces.is_empty(),
+            !one_report.fabric.traces.is_empty(),
             "sampling 1/64 must catch some"
         );
         // The structural claim (Figure 10): fine-grained repair blocks a

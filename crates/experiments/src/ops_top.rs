@@ -384,8 +384,8 @@ pub fn run_fabric(ticks: usize, interval: Duration, clear: bool, json: bool) {
     let report = runner.join().expect("live run panicked");
     let summary = format!(
         "run: {} ops at {:.0} ops/s, {} anomalies",
-        report.completed_ops,
-        report.ops_per_sec,
+        report.fabric.completed_ops,
+        report.fabric.ops_per_sec,
         report.anomalies.len(),
     );
     if json {

@@ -8,7 +8,10 @@
 //!   [`FabricConfig::pin_shards`] each shard thread pins itself to a core
 //!   (`sched_setaffinity` via the vendored `affinity` shim; no-op off Linux
 //!   or without the `pinning` feature), and aggregate throughput scales with
-//!   shards because shards share nothing.
+//!   shards because shards share nothing. [`run_live_with`] is the same
+//!   runtime with a [`ShardHook`] per shard and a [`ClientHook`] per client
+//!   plugged into its loops; the live control plane (`netchain-livectl`)
+//!   runs on it, and `run_live` is it with the `()` hooks, which do nothing.
 //! * [`run_capacity`] — processes each shard's partition sequentially on the
 //!   measuring core, timing only dataplane work, and reports the aggregate
 //!   for the one-core-per-shard deployment model (`total ops / slowest
@@ -17,23 +20,26 @@
 //!   benchmark machine has fewer cores than shards.
 
 use crate::frame::Frame;
-use crate::loadgen::{ClientState, WorkloadSpec};
+use crate::loadgen::{ClientState, RetryBatch, WorkloadSpec};
 use crate::ring::{ring, Consumer, Producer};
 use crate::shard::Shard;
 use crate::stats::{CapacityReport, ClientReport, FabricReport, ShardStats};
-use netchain_core::HashRing;
+use netchain_core::{AgentConfig, HashRing};
 use netchain_sim::SimTime;
 use netchain_switch::PipelineConfig;
 use netchain_telemetry::{merge_traces, HistSnapshot, PacketTrace, TraceConfig};
-use netchain_wire::{BatchEncoder, Ipv4Addr, Key, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use netchain_wire::{BatchEncoder, Ipv4Addr, Key, NetChainPacket, Value};
+use std::collections::VecDeque;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How long a live-run client may go without any progress (no push, no
 /// reply) before the run is declared wedged. Generous: a healthy fabric
-/// makes progress every few microseconds even on one core.
-const STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
+/// makes progress every few microseconds even on one core, and a retrying
+/// client re-sends long before this.
+const STALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Static configuration of a fabric.
 #[derive(Debug, Clone, Copy)]
@@ -185,158 +191,226 @@ pub fn build_shards(config: &FabricConfig, workload: &WorkloadSpec) -> Vec<Shard
     shards
 }
 
+/// What a shard thread of [`run_live_with`] does besides pop → process →
+/// reply. The defaults do nothing: `()` is the hook of a plain [`run_live`].
+pub trait ShardHook: Send + 'static {
+    /// Runs at every burst boundary, before the shard pulls its ingress.
+    fn boundary(&mut self, _shard: &mut Shard) {}
+
+    /// Runs once per round that pulled frames: `replies` replies out, the
+    /// deepest pull `peak_depth` frames; `start` is the run's clock origin.
+    fn busy_round(&mut self, _shard: &Shard, _start: Instant, _replies: u64, _peak_depth: u64) {}
+}
+
+/// What a client thread of [`run_live_with`] does besides issue → drain.
+/// The defaults are a plain [`run_live`] client: count-bounded, never
+/// retransmitting.
+pub trait ClientHook: Send + 'static {
+    /// The agent configuration client `id` runs with.
+    fn agent_config(&self, id: u32) -> AgentConfig {
+        AgentConfig::new(Ipv4Addr::for_host(id))
+    }
+
+    /// Whether a new query may be issued `at` this offset from run start.
+    fn may_issue(&mut self, _at: Duration) -> bool {
+        true
+    }
+
+    /// Runs once per loop round (`start` is the run's clock origin): the
+    /// queries to retransmit, or `Break` to stop the client at once.
+    fn round(&mut self, _client: &mut ClientState, _start: Instant) -> ControlFlow<(), RetryBatch> {
+        ControlFlow::Continue(RetryBatch::new())
+    }
+
+    /// Runs once when the client loop ends, before its traces are collected.
+    fn exit(&mut self, _client: &mut ClientState) {}
+}
+
+impl ShardHook for () {}
+impl ClientHook for () {}
+
 /// Runs the fabric live: one thread per shard, one per client, SPSC rings in
 /// between. Returns after every client completed its share.
 pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
+    let shard_hooks = vec![(); config.num_shards];
+    let client_hooks = vec![(); config.num_clients];
+    run_live_with(config, workload, shard_hooks, client_hooks, |_| ()).0
+}
+
+/// Ring endpoints indexed by (row, column).
+type RingMatrix = (Vec<Vec<Producer<Frame>>>, Vec<Vec<Consumer<Frame>>>);
+
+/// `producers[r][c]` feeds `consumers[c][r]`: one SPSC ring per (row, col).
+fn ring_matrix(rows: usize, cols: usize, capacity: usize) -> RingMatrix {
+    let mut consumers: Vec<Vec<Consumer<Frame>>> = (0..cols).map(|_| Vec::new()).collect();
+    let producers = (0..rows)
+        .map(|_| {
+            let row = consumers.iter_mut().map(|col| {
+                let (tx, rx) = ring(capacity);
+                col.push(rx);
+                tx
+            });
+            row.collect()
+        })
+        .collect();
+    (producers, consumers)
+}
+
+/// [`run_live`] with `shard_hooks[s]` plugged into shard `s`'s loop and
+/// `client_hooks[c]` into client `c`'s. `main` runs on the calling thread
+/// while the fabric runs, given the run's clock origin; shards serve until
+/// it has returned and every client has exited. Returns the joined report,
+/// the client hooks as their threads left them, and `main`'s result.
+pub fn run_live_with<S: ShardHook, C: ClientHook, M>(
+    config: FabricConfig,
+    workload: WorkloadSpec,
+    shard_hooks: Vec<S>,
+    client_hooks: Vec<C>,
+    main: impl FnOnce(Instant) -> M,
+) -> (FabricReport, Vec<C>, M) {
     assert!(config.num_shards > 0 && config.num_clients > 0);
+    assert_eq!(shard_hooks.len(), config.num_shards, "one hook per shard");
+    assert_eq!(client_hooks.len(), config.num_clients, "one per client");
     assert!(
         config.ring_capacity >= workload.window,
         "rings must hold a full client window to rule out deadlock"
     );
     let ring_def = config.build_ring();
     let shards = build_shards(&config, &workload);
-
+    let (num_shards, num_clients, burst) = (config.num_shards, config.num_clients, config.burst);
     // Rings: query[c][s] (client → shard) and reply[s][c] (shard → client).
-    let mut query_tx: Vec<Vec<Producer<Frame>>> =
-        (0..config.num_clients).map(|_| Vec::new()).collect();
-    let mut query_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..config.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_tx: Vec<Vec<Producer<Frame>>> =
-        (0..config.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..config.num_clients).map(|_| Vec::new()).collect();
-    for client_rings in query_tx.iter_mut() {
-        for shard_rings in query_rx.iter_mut() {
-            let (tx, rx) = ring::<Frame>(config.ring_capacity);
-            client_rings.push(tx);
-            shard_rings.push(rx);
-        }
-    }
-    for shard_rings in reply_tx.iter_mut() {
-        for client_rings in reply_rx.iter_mut() {
-            let (tx, rx) = ring::<Frame>(config.ring_capacity);
-            shard_rings.push(tx);
-            client_rings.push(rx);
-        }
-    }
-
-    let done_clients = Arc::new(AtomicUsize::new(0));
+    let (query_tx, query_rx) = ring_matrix(num_clients, num_shards, config.ring_capacity);
+    let (reply_tx, reply_rx) = ring_matrix(num_shards, num_clients, config.ring_capacity);
+    // Per-client exit flags, plus one for `main`: shards exit once all are
+    // set, and never block on a reply ring whose client is gone. Each flag
+    // is stored (Release) after its owner's last push and loaded (Acquire)
+    // before a shard's final emptiness check of its rings.
+    let exited: Arc<Vec<AtomicBool>> =
+        Arc::new((0..=num_clients).map(|_| AtomicBool::new(false)).collect());
     let pinned = Arc::new(AtomicUsize::new(0));
     let start = Instant::now();
 
-    // Shard workers.
     let mut shard_handles = Vec::new();
-    for (s, mut shard) in shards.into_iter().enumerate() {
-        let mut ingress = std::mem::take(&mut query_rx[s]);
-        let mut egress = std::mem::take(&mut reply_tx[s]);
-        let done = Arc::clone(&done_clients);
+    let shard_parts = shards
+        .into_iter()
+        .zip(shard_hooks)
+        .zip(query_rx)
+        .zip(reply_tx);
+    for (((mut shard, mut hook), mut ingress), mut egress) in shard_parts {
+        let s = shard.id();
+        let exited = Arc::clone(&exited);
         let pinned = Arc::clone(&pinned);
-        let burst = config.burst;
-        let num_clients = config.num_clients;
-        let pin = config.pin_shards;
         if config.trace.enabled {
             shard.enable_tracing(config.trace, start);
         }
         let handle = std::thread::Builder::new()
             .name(format!("fabric-shard-{s}"))
             .spawn(move || {
-                if pin && pin_thread(s) {
+                if config.pin_shards && pin_thread(s) {
                     pinned.fetch_add(1, Ordering::Relaxed);
                 }
                 let mut frames: Vec<Frame> = Vec::with_capacity(burst);
                 let mut replies = BatchEncoder::with_capacity(burst, 128);
                 loop {
-                    let mut any = false;
-                    for c in 0..num_clients {
+                    hook.boundary(&mut shard);
+                    let (mut replied, mut peak_depth) = (0, 0);
+                    for (c, rx) in ingress.iter_mut().enumerate() {
                         frames.clear();
-                        if ingress[c].pop_batch(&mut frames, burst) == 0 {
+                        let got = rx.pop_batch(&mut frames, burst) as u64;
+                        if got == 0 {
                             continue;
                         }
-                        any = true;
+                        peak_depth = peak_depth.max(got);
                         replies.clear();
                         shard.process_burst(frames.iter().map(|f| f.as_bytes()), &mut replies);
+                        replied += replies.len() as u64;
                         for frame in replies.frames() {
-                            let mut item =
-                                Some(Frame::from_bytes(frame).expect("replies fit in a frame"));
-                            // The reply ring is sized for a full window, so
-                            // this loop terminates once the client drains.
-                            loop {
-                                match egress[c].push(item.take().expect("refilled on Err")) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        item = Some(back);
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
+                            let frame = Frame::from_bytes(frame).expect("replies fit in a frame");
+                            // The reply ring holds a full window, so this
+                            // waits only until the client drains, unless it
+                            // has exited (a hard stop with its ring full):
+                            // then the reply has no reader and is dropped.
+                            egress[c].push_yielding(frame, || exited[c].load(Ordering::Acquire));
                         }
                     }
-                    if !any {
-                        if done.load(Ordering::Acquire) == num_clients
-                            && ingress.iter_mut().all(|r| r.is_empty_now())
-                        {
-                            break;
-                        }
+                    if peak_depth > 0 {
+                        hook.busy_round(&shard, start, replied, peak_depth);
+                    } else if exited.iter().all(|e| e.load(Ordering::Acquire))
+                        && ingress.iter_mut().all(|r| r.is_empty_now())
+                    {
+                        break;
+                    } else {
                         // Single-core friendliness: let clients run instead
                         // of spinning the shard.
                         std::thread::yield_now();
                     }
                 }
-                (shard.id(), *shard.stats(), shard.take_traces())
+                let traces = shard.take_traces();
+                (s, *shard.stats(), traces, shard.traces_dropped())
             })
             .expect("spawn shard thread");
         shard_handles.push(handle);
     }
 
-    // Client threads.
     let mut client_handles = Vec::new();
-    for c in 0..config.num_clients {
-        let mut tx = std::mem::take(&mut query_tx[c]);
-        let mut rx = std::mem::take(&mut reply_rx[c]);
-        let ring_clone = ring_def.clone();
-        let done = Arc::clone(&done_clients);
-        let cfg = config;
+    let client_parts = client_hooks.into_iter().zip(query_tx).zip(reply_rx);
+    for (c, ((mut hook, mut tx), mut rx)) in client_parts.enumerate() {
+        let ring = ring_def.clone();
+        let exited = Arc::clone(&exited);
         let handle = std::thread::Builder::new()
             .name(format!("fabric-client-{c}"))
             .spawn(move || {
-                let mut client = ClientState::new(c as u32, &ring_clone, workload);
-                if cfg.trace.enabled {
-                    client.enable_tracing(cfg.trace);
+                let id = c as u32;
+                let mut client =
+                    ClientState::with_agent_config(id, &ring, workload, hook.agent_config(id));
+                if config.trace.enabled {
+                    client.enable_tracing(config.trace);
                 }
-                let mut parked: Option<(usize, Frame)> = None;
-                let mut reply_buf: Vec<Frame> = Vec::with_capacity(cfg.burst);
-                // Stall watchdog: clients have no retransmission, so a query
-                // the dataplane drops (parse error, unroutable, a future
-                // failover rule) would otherwise hang the run silently with
-                // the window never draining. Trade the silent hang for a
-                // loud panic with the client's state attached.
+                // Frames that found their ring full (issues and retransmits
+                // alike), re-offered in order before anything new is issued.
+                let mut pending: VecDeque<(usize, Frame)> = VecDeque::new();
+                let send = |tx: &mut [Producer<Frame>],
+                            pending: &mut VecDeque<_>,
+                            pkt: &NetChainPacket| {
+                    let s = config.shard_of(&ring, &pkt.netchain.key);
+                    let frame = Frame::from_packet(pkt).expect("queries fit in a frame");
+                    tx[s]
+                        .push(frame)
+                        .map_err(|back| pending.push_back((s, back)))
+                        .is_ok()
+                };
+                let mut reply_buf: Vec<Frame> = Vec::with_capacity(burst);
+                // Stall watchdog: a query the dataplane drops (parse error,
+                // unroutable) and nobody retransmits would otherwise hang the
+                // run silently with the window never draining. Trade the
+                // silent hang for a loud panic with the client's state.
                 let mut last_progress = Instant::now();
-                while !client.is_done() {
+                loop {
                     let mut progressed = false;
-                    // Re-offer a frame that found its ring full.
-                    if let Some((s, frame)) = parked.take() {
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => parked = Some((s, back)),
+                    while let Some((s, frame)) = pending.pop_front() {
+                        if let Err(back) = tx[s].push(frame) {
+                            pending.push_front((s, back));
+                            break;
                         }
+                        progressed = true;
                     }
                     // Fill the window. The agent clock is wall-clock
                     // nanoseconds since the run started, so the per-query
                     // issue→reply latencies in the report are real.
-                    while parked.is_none() && client.can_issue() {
-                        let now = SimTime(start.elapsed().as_nanos() as u64);
-                        let pkt = client.issue_at(now);
-                        let s = cfg.shard_of(&ring_clone, &pkt.netchain.key);
-                        let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => parked = Some((s, back)),
+                    while pending.is_empty() && client.can_issue() {
+                        let at = start.elapsed();
+                        if !hook.may_issue(at) {
+                            break;
                         }
+                        let pkt = client.issue_at(SimTime(at.as_nanos() as u64));
+                        progressed |= send(&mut tx, &mut pending, &pkt);
                     }
-                    // Drain replies.
+                    if client.outstanding() == 0 && pending.is_empty() {
+                        break; // Nothing in flight, and the fill issued nothing.
+                    }
                     for shard_rx in rx.iter_mut() {
                         reply_buf.clear();
-                        if shard_rx.pop_batch(&mut reply_buf, cfg.burst) > 0 {
+                        if shard_rx.pop_batch(&mut reply_buf, burst) > 0 {
                             progressed = true;
                             let now = SimTime(start.elapsed().as_nanos() as u64);
                             for frame in &reply_buf {
@@ -344,50 +418,61 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
                             }
                         }
                     }
-                    if !progressed {
-                        assert!(
-                            last_progress.elapsed() < STALL_TIMEOUT,
-                            "fabric client {c} stalled for {STALL_TIMEOUT:?}: \
-                             {} outstanding, report {:?} — a query was \
-                             dropped by the dataplane and clients do not \
-                             retransmit",
-                            client.outstanding(),
-                            client.report(),
-                        );
-                        std::thread::yield_now();
-                    } else {
-                        last_progress = Instant::now();
+                    match hook.round(&mut client, start) {
+                        ControlFlow::Break(()) => break,
+                        ControlFlow::Continue(retransmit) => {
+                            for pkt in &retransmit {
+                                progressed |= send(&mut tx, &mut pending, pkt);
+                            }
+                        }
                     }
+                    if progressed {
+                        last_progress = Instant::now();
+                        continue;
+                    }
+                    assert!(
+                        last_progress.elapsed() < STALL_TIMEOUT,
+                        "fabric client {c} stalled for {STALL_TIMEOUT:?}: {} outstanding, \
+                         report {:?} — a query was dropped and never answered",
+                        client.outstanding(),
+                        client.report(),
+                    );
+                    std::thread::yield_now();
                 }
-                done.fetch_add(1, Ordering::Release);
-                (
-                    client.report(),
-                    client.latency_snapshot(),
-                    client.take_traces(),
-                )
+                exited[c].store(true, Ordering::Release);
+                hook.exit(&mut client);
+                (client, hook)
             })
             .expect("spawn client thread");
         client_handles.push(handle);
     }
 
-    let mut clients: Vec<ClientReport> = Vec::with_capacity(config.num_clients);
+    let main_out = main(start);
+    exited[num_clients].store(true, Ordering::Release);
+
+    let mut clients: Vec<ClientReport> = Vec::with_capacity(num_clients);
+    let mut hooks = Vec::with_capacity(num_clients);
     let mut latency = HistSnapshot::empty();
     let mut trace_fragments: Vec<PacketTrace> = Vec::new();
+    let mut traces_dropped = 0;
     for handle in client_handles {
-        let (report, lat, traces) = handle.join().expect("client thread panicked");
-        clients.push(report);
-        latency.merge(&lat);
-        trace_fragments.extend(traces);
+        let (mut client, hook) = handle.join().expect("client thread panicked");
+        clients.push(client.report());
+        latency.merge(&client.latency_snapshot());
+        trace_fragments.extend(client.take_traces());
+        traces_dropped += client.traces_dropped();
+        hooks.push(hook);
     }
     let elapsed = start.elapsed();
-    let mut shard_stats = vec![ShardStats::default(); config.num_shards];
+    let mut shard_stats = vec![ShardStats::default(); num_shards];
     for handle in shard_handles {
-        let (id, stats, traces) = handle.join().expect("shard thread panicked");
+        let (id, stats, traces, dropped) = handle.join().expect("shard thread panicked");
         shard_stats[id] = stats;
         trace_fragments.extend(traces);
+        traces_dropped += dropped;
     }
     let completed_ops: u64 = clients.iter().map(|c| c.completed).sum();
-    FabricReport {
+    let report = FabricReport {
         elapsed,
         completed_ops,
         ops_per_sec: completed_ops as f64 / elapsed.as_secs_f64().max(1e-12),
@@ -395,8 +480,10 @@ pub fn run_live(config: FabricConfig, workload: WorkloadSpec) -> FabricReport {
         clients,
         latency,
         traces: merge_traces(trace_fragments),
+        traces_dropped,
         pinned_shards: pinned.load(Ordering::Relaxed),
-    }
+    };
+    (report, hooks, main_out)
 }
 
 /// Measures aggregate capacity for the one-core-per-shard deployment model.
@@ -417,13 +504,20 @@ pub fn run_capacity(config: FabricConfig, workload: WorkloadSpec) -> CapacityRep
         }
     }
 
-    // Generate and steer the op stream (untimed).
-    let mut client = ClientState::new(0, &ring_def, workload);
+    // Generate and steer the op stream (untimed). Capacity mode is not
+    // closed-loop: everything is issued up front, so the window holds the
+    // whole stream. A counter stands in for the agent clock; no latency is
+    // measured here.
+    let spec = WorkloadSpec {
+        window: workload.ops_per_client as usize,
+        ..workload
+    };
+    let mut client = ClientState::new(0, &ring_def, spec);
+    let mut clock = 0u64;
     let mut per_shard: Vec<Vec<Frame>> = (0..config.num_shards).map(|_| Vec::new()).collect();
     for _ in 0..workload.ops_per_client {
-        // Capacity mode is not closed-loop: issue everything up front. Keep
-        // the agent's window out of the way.
-        let pkt = client.issue_unbounded();
+        clock += 1;
+        let pkt = client.issue_at(SimTime(clock));
         let s = config.shard_of(&ring_def, &pkt.netchain.key);
         per_shard[s].push(Frame::from_packet(&pkt).expect("queries fit in a frame"));
     }
@@ -445,7 +539,8 @@ pub fn run_capacity(config: FabricConfig, workload: WorkloadSpec) -> CapacityRep
             busy += t0.elapsed();
             for frame in replies.frames() {
                 reply_count += 1;
-                client.absorb_reply(frame);
+                clock += 1;
+                client.absorb_reply_at(SimTime(clock), frame);
             }
         }
         report.shard_ops.push(frames.len() as u64);
@@ -517,6 +612,8 @@ mod tests {
             "expected sampled traces, got {}",
             report.traces.len()
         );
+        // The 4096-trace cap exceeds every sink's samples: nothing dropped.
+        assert_eq!(report.traces_dropped, 0);
         let summary = report.trace_summary();
         // Reads traverse the chain from the tail: client, then at least one
         // switch hop, then back at the client.
@@ -526,6 +623,20 @@ mod tests {
         assert_eq!(path.first(), Some(&client_ip));
         assert_eq!(path.last(), Some(&client_ip));
         assert!(!summary.transitions.is_empty());
+    }
+
+    #[test]
+    fn live_run_counts_traces_past_the_cap() {
+        let config = FabricConfig {
+            ring_capacity: 128,
+            ..FabricConfig::new(2)
+        }
+        .with_trace(TraceConfig::sampled(0, 16));
+        let report = run_live(config, WorkloadSpec::uniform_read(64, 1_000));
+        assert_eq!(report.completed_ops, 1_000);
+        // Every op is sampled, but each sink keeps at most 16 traces.
+        assert!(report.traces_dropped > 0, "{}", report.traces_dropped);
+        assert!(report.traces.len() <= 16 * 3, "{}", report.traces.len());
     }
 
     #[test]

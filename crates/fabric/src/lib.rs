@@ -48,7 +48,12 @@
 //! [`FabricConfig::pin_shards`](fabric::FabricConfig::pin_shards) each shard
 //! thread is pinned to its own core through the vendored `affinity` shim —
 //! `sched_setaffinity` on Linux, a graceful no-op elsewhere or with the
-//! `pinning` feature disabled). [`run_capacity`] measures each shard's
+//! `pinning` feature disabled). It is the repo's one threaded runtime:
+//! [`run_live_with`] runs the same rings, shard loop and client loop with a
+//! [`ShardHook`] per shard and a [`ClientHook`] per client plugged in, which
+//! is how the live control plane (`netchain-livectl`) adds control
+//! channels, retrying clients and rolling windows without a second copy of
+//! the loops. [`run_capacity`] measures each shard's
 //! run-to-completion rate sequentially and reports the aggregate for the
 //! one-core-per-shard model, the same methodology the paper uses for its
 //! scalability projections (§8.3) — and the only honest way to produce a
@@ -69,9 +74,12 @@ pub mod ring;
 pub mod shard;
 pub mod stats;
 
-pub use fabric::{build_shards, pin_thread, run_capacity, run_live, FabricConfig};
+pub use fabric::{
+    build_shards, pin_thread, run_capacity, run_live, run_live_with, ClientHook, FabricConfig,
+    ShardHook,
+};
 pub use frame::{Frame, MAX_FRAME_LEN};
-pub use loadgen::{ClientState, WorkloadSpec};
+pub use loadgen::{ClientState, RetryBatch, WorkloadSpec};
 pub use ring::{ring as spsc_ring, Consumer, Producer};
 pub use shard::{client_id_of, shard_of_key, Shard};
 pub use stats::{

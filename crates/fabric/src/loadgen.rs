@@ -110,16 +110,12 @@ pub struct ClientState {
     spec: WorkloadSpec,
     /// Tabulated zipfian CDF (empty for uniform workloads).
     zipf_cdf: Vec<f64>,
-    /// Logical clock fed to the agent (the fabric has no simulated time; the
-    /// agent only needs monotonicity for its bookkeeping).
-    clock: u64,
     /// Monotonically increasing write payloads, so every write is distinct.
     write_counter: u64,
     report: ClientReport,
-    /// Issue→reply latency of completed queries, recorded from the agent's
-    /// per-query measurement. Meaningful when the timed API
-    /// ([`ClientState::issue_at`] / [`ClientState::absorb_reply_at`]) feeds
-    /// real clocks; logical-clock callers just accumulate tick counts.
+    /// Issue→reply latency of completed queries, in the units of the clock
+    /// the caller feeds [`ClientState::issue_at`] and
+    /// [`ClientState::absorb_reply_at`].
     latency: LatencyHistogram,
     /// In-band trace stamping (client hop), when enabled.
     tracer: Option<TraceSink>,
@@ -148,7 +144,6 @@ impl ClientState {
             rng: ChaCha8Rng::seed_from_u64(spec.seed ^ (u64::from(id) << 32)),
             zipf_cdf: build_zipf_cdf(&spec),
             spec,
-            clock: 0,
             write_counter: 0,
             report: ClientReport::default(),
             latency: LatencyHistogram::new(),
@@ -179,6 +174,11 @@ impl ClientState {
             .as_mut()
             .map(TraceSink::drain)
             .unwrap_or_default()
+    }
+
+    /// Traces this client's sink discarded past its `max_traces` cap.
+    pub fn traces_dropped(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, TraceSink::dropped)
     }
 
     /// Takes only the traces *completed* since the last call, leaving open
@@ -265,26 +265,10 @@ impl ClientState {
         }
     }
 
-    /// Issues the next query, returning the packet to transmit.
-    pub fn issue(&mut self) -> NetChainPacket {
-        debug_assert!(self.can_issue());
-        self.issue_unbounded()
-    }
-
-    /// Issues a query ignoring the closed-loop window (capacity mode
-    /// pre-generates the whole op stream before any processing happens).
-    pub fn issue_unbounded(&mut self) -> NetChainPacket {
-        let op = self.sample_op();
-        self.clock += 1;
-        let (_, pkt) = self.agent.begin(SimTime(self.clock), op);
-        self.report.issued += 1;
-        pkt
-    }
-
     /// Issues the next query stamped with a caller-supplied clock (wall-clock
-    /// nanoseconds since the run started, in live-controlled runs). The
-    /// caller must use the timed API consistently: mixing it with the
-    /// logical-clock [`ClientState::issue`] would confuse the retry timers.
+    /// nanoseconds since the run started, in live runs), returning the
+    /// packet to transmit. The clock must not run backwards: the agent's
+    /// retry timers and latencies are measured on it.
     pub fn issue_at(&mut self, now: SimTime) -> NetChainPacket {
         debug_assert!(self.can_issue());
         let op = self.sample_op();
@@ -332,18 +316,6 @@ impl ClientState {
     /// *not* counted as completed: `completed` means a matched reply).
     pub fn poll_retries_at(&mut self, now: SimTime) -> RetryBatch {
         self.agent.poll_retries(now).retransmit
-    }
-
-    /// Consumes one serialized reply frame; returns `true` if it matched an
-    /// outstanding query.
-    pub fn absorb_reply(&mut self, frame: &[u8]) -> bool {
-        let Ok(view) = PacketView::parse(frame) else {
-            return false;
-        };
-        let pkt = view.to_owned();
-        self.clock += 1;
-        let now = SimTime(self.clock);
-        self.absorb_packet(now, &pkt)
     }
 
     fn absorb_packet(&mut self, now: SimTime, pkt: &netchain_wire::NetChainPacket) -> bool {
@@ -453,7 +425,7 @@ mod tests {
         let mut client = ClientState::new(1, &ring(), spec);
         let mut issued = Vec::new();
         while client.can_issue() {
-            issued.push(client.issue());
+            issued.push(client.issue_at(SimTime(issued.len() as u64)));
         }
         assert_eq!(issued.len(), 4);
         assert_eq!(client.outstanding(), 4);

@@ -128,6 +128,22 @@ impl<T: Send> Producer<T> {
         Ok(())
     }
 
+    /// Pushes `item`, yielding the thread while the ring is full, until it
+    /// fits or `give_up()` says the consumer is gone. Returns whether the
+    /// item was pushed.
+    pub fn push_yielding(&mut self, mut item: T, mut give_up: impl FnMut() -> bool) -> bool {
+        loop {
+            match self.push(item) {
+                Ok(()) => return true,
+                Err(_) if give_up() => return false,
+                Err(back) => {
+                    item = back;
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+
     /// Moves as many items as fit from the front of `items`, publishing them
     /// with a single release store. Returns how many were taken.
     pub fn push_batch(&mut self, items: &mut Vec<T>) -> usize {
@@ -220,6 +236,24 @@ mod tests {
             assert_eq!(rx.pop(), Some(i));
         }
         assert_eq!(rx.pop(), None);
+    }
+
+    #[test]
+    fn push_yielding_stops_when_told_to_give_up() {
+        let (mut tx, mut rx) = ring::<u64>(2);
+        assert!(tx.push_yielding(1, || false));
+        assert!(tx.push_yielding(2, || false));
+        let mut asked = 0;
+        assert!(!tx.push_yielding(3, || {
+            asked += 1;
+            asked == 3
+        }));
+        assert_eq!(asked, 3, "a full ring keeps asking until told to stop");
+        assert_eq!(rx.pop(), Some(1));
+        assert!(
+            tx.push_yielding(4, || true),
+            "room is used before giving up"
+        );
     }
 
     #[test]

@@ -190,6 +190,12 @@ impl Shard {
             .unwrap_or_default()
     }
 
+    /// Trace fragments this shard's sink discarded past its `max_traces`
+    /// cap.
+    pub fn traces_dropped(&self) -> u64 {
+        self.tracer.as_ref().map_or(0, |t| t.sink.dropped())
+    }
+
     /// Publishes executor-level gauges — ingress queue depth/capacity and
     /// coarse cumulative latency buckets — to every switch replica, so an
     /// in-band `Stat` probe answered by any of them reports the shard's

@@ -132,6 +132,9 @@ pub struct FabricReport {
     pub latency: HistSnapshot,
     /// Merged in-band traces (empty when tracing is off).
     pub traces: Vec<PacketTrace>,
+    /// Trace fragments the shard and client sinks discarded past their
+    /// `max_traces` cap, summed. Nonzero means `traces` is a truncated view.
+    pub traces_dropped: u64,
     /// Shard threads successfully pinned to a core (0 unless
     /// `FabricConfig::pin_shards` is set and the platform supports it).
     pub pinned_shards: usize,

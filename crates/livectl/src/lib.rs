@@ -14,10 +14,11 @@
 //!   fabric's lock-free SPSC rings, applied at burst boundaries.
 //! * [`script`] — the fault script: which switch dies, when, and how the
 //!   controller paces detection, failover and repair.
-//! * [`runner`] — [`run_live_controlled`]: the threaded deployment shape
-//!   (shards + retrying duration-driven clients + controller), producing a
-//!   time-sliced [`LiveReport`]. A monitor thread watches per-shard rolling
-//!   windows while the run is live.
+//! * [`runner`] — [`run_live_controlled`]: the fabric's own threaded
+//!   runtime (`netchain_fabric::run_live_with`) extended with control
+//!   channels, retrying duration-driven clients and a controller, producing
+//!   a time-sliced [`LiveReport`] around the fabric's report. A monitor
+//!   thread watches per-shard rolling windows while the run is live.
 //! * [`detector`] — the gray-failure detector: peer-median comparison over
 //!   the rolling windows, flagging a shard that is slow but alive.
 //! * [`replay`] — the same fabric and the same control commands driven

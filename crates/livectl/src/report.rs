@@ -2,8 +2,8 @@
 //! the controller's phase timeline.
 
 use crate::detector::Anomaly;
-use netchain_fabric::{ClientReport, ShardStats};
-use netchain_telemetry::{HistSnapshot, Journal, PacketTrace, TraceSummary, Violation};
+use netchain_fabric::FabricReport;
+use netchain_telemetry::{Journal, Violation};
 use std::time::Duration;
 
 /// Anything the live monitor flagged during the run: a statistical gray
@@ -87,27 +87,15 @@ impl FailoverTimeline {
 /// The result of a live-controlled run.
 #[derive(Debug, Clone, Default)]
 pub struct LiveReport {
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
+    /// What the fabric runtime reports for any live run: elapsed time,
+    /// completed ops, per-client and per-shard counters, latency, and the
+    /// merged traces.
+    pub fabric: FabricReport,
     /// Width of one throughput slice.
     pub slice: Duration,
     /// Completed operations per slice, summed over clients (index 0 starts
     /// at run start).
     pub slices: Vec<u64>,
-    /// Total operations completed (replies matched).
-    pub completed_ops: u64,
-    /// Aggregate completed operations per wall-clock second.
-    pub ops_per_sec: f64,
-    /// Per-client counters.
-    pub clients: Vec<ClientReport>,
-    /// Per-shard dataplane counters.
-    pub shards: Vec<ShardStats>,
-    /// Issue→reply latency distribution, merged over clients (real
-    /// wall-clock nanoseconds; the live runner feeds the timed client API).
-    pub latency: HistSnapshot,
-    /// Merged in-band per-hop traces (client + shard fragments), when
-    /// tracing was enabled in the fabric config.
-    pub traces: Vec<PacketTrace>,
     /// The controller's phase timeline (present when a fault script ran).
     pub timeline: Option<FailoverTimeline>,
     /// Everything the live monitor flagged — gray failures and shadow-audit
@@ -145,36 +133,34 @@ impl LiveReport {
 
     /// Total retransmissions across clients (the visible cost of the dip).
     pub fn total_retries(&self) -> u64 {
-        self.clients.iter().map(|c| c.retries).sum()
+        self.fabric.clients.iter().map(|c| c.retries).sum()
     }
 
     /// Total abandoned queries across clients (must be zero in a healthy
     /// run — every op eventually completes through failover and repair).
     pub fn total_abandoned(&self) -> u64 {
-        self.clients.iter().map(|c| c.abandoned).sum()
+        self.fabric.clients.iter().map(|c| c.abandoned).sum()
     }
 
     /// Total version regressions observed by clients (must be zero: replies
     /// never travel backwards in chain version).
     pub fn total_version_regressions(&self) -> u64 {
-        self.clients.iter().map(|c| c.version_regressions).sum()
+        self.fabric
+            .clients
+            .iter()
+            .map(|c| c.version_regressions)
+            .sum()
     }
 
     /// Queries dropped for lack of a route, summed over shards (nonzero
     /// during the window between a kill and the failover rules landing).
     pub fn total_unroutable(&self) -> u64 {
-        self.shards.iter().map(|s| s.unroutable).sum()
+        self.fabric.shards.iter().map(|s| s.unroutable).sum()
     }
 
     /// Writes bounced off blocked groups during repair, summed over shards.
     pub fn total_blocked(&self) -> u64 {
-        self.shards.iter().map(|s| s.blocked).sum()
-    }
-
-    /// Aggregates the recorded traces into per-path counts and per-hop
-    /// latency transitions.
-    pub fn trace_summary(&self) -> TraceSummary {
-        TraceSummary::from_traces(&self.traces)
+        self.fabric.shards.iter().map(|s| s.blocked).sum()
     }
 }
 

@@ -1,21 +1,26 @@
 //! The live-controlled fabric runner: `run_live` plus a control plane.
 //!
-//! [`run_live_controlled`] spawns the same thread-per-shard / thread-per-
-//! client deployment shape as [`netchain_fabric::run_live`], with three
-//! additions:
+//! [`run_live_controlled`] runs on the fabric's own threaded runtime,
+//! [`netchain_fabric::run_live_with`]: the same rings, shard loop, client
+//! loop and join as [`netchain_fabric::run_live`]. This module only plugs in
+//! what a controlled run adds:
 //!
 //! * every shard gets a **control channel** (one SPSC ring per direction) the
-//!   controller thread programs it through, drained between bursts;
+//!   controller thread programs it through, drained at burst boundaries, and
+//!   records its per-slice ops / blocked / queue depth into a rolling
+//!   window once per busy round;
 //! * clients are **duration-driven and retrying**: a query the dataplane
 //!   drops (a dead switch before rules arrive, a blocked group during
 //!   repair) is retransmitted after a timeout, exactly like the paper's UDP
 //!   clients, and every completion is bucketed into a **time slice** so the
 //!   run produces a throughput-vs-time series;
-//! * an optional **controller thread** executes a [`FaultScript`] live: kill
-//!   the victim, run Algorithm 2 after the detection delay, then repair the
+//! * an optional **controller** executes a [`FaultScript`] live: kill the
+//!   victim, run Algorithm 2 after the detection delay, then repair the
 //!   chains group by group with two-phase atomic switching — copying real
 //!   register state from donor to replacement through the control channel
-//!   while untouched groups keep serving.
+//!   while untouched groups keep serving;
+//! * a **monitor thread** judges the rolling windows with the gray-failure
+//!   detector and feeds finished traces to the shadow auditor.
 
 use crate::control::{self, ControlCmd, ControlEvt};
 use crate::detector::{DetectorConfig, GrayFailureDetector};
@@ -24,17 +29,20 @@ use crate::script::FaultScript;
 use netchain_core::failplan::{self, FailoverPlan, RecoveryPlan};
 use netchain_core::{AgentConfig, HashRing};
 use netchain_fabric::{
-    build_shards, spsc_ring, ClientState, Consumer, FabricConfig, Frame, Producer, WorkloadSpec,
+    run_live_with, spsc_ring, ClientHook, ClientState, Consumer, FabricConfig, Producer,
+    RetryBatch, Shard, ShardHook, WorkloadSpec,
 };
 use netchain_sim::{SimDuration, SimTime};
 use netchain_telemetry::{
-    merge_traces, FlightRecorder, HistSnapshot, Journal, Json, PacketTrace, ShadowAuditor,
+    merge_traces, FlightRecorder, Journal, Json, PacketTrace, RollingWindow, ShadowAuditor,
     TimeSeries, WindowChannel, WindowRegistry,
 };
-use netchain_wire::{BatchEncoder, Ipv4Addr};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use netchain_wire::Ipv4Addr;
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long after the deadline clients keep draining outstanding queries
@@ -102,16 +110,7 @@ struct ControllerLink {
 
 impl ControllerLink {
     fn send(&mut self, cmd: ControlCmd) {
-        let mut item = Some(cmd);
-        loop {
-            match self.tx.push(item.take().expect("refilled on Err")) {
-                Ok(()) => return,
-                Err(back) => {
-                    item = Some(back);
-                    std::thread::yield_now();
-                }
-            }
-        }
+        self.tx.push_yielding(cmd, || false);
     }
 
     fn wait(&mut self, token: u64) -> ControlEvt {
@@ -284,6 +283,107 @@ pub fn run_live_controlled(config: LiveConfig) -> LiveReport {
     run_live_observed(config, windows)
 }
 
+/// A controlled shard's additions to the fabric's shard loop: the control
+/// channel, drained at burst boundaries, and the rolling-window accounting.
+struct ControlledShard {
+    commands: Consumer<ControlCmd>,
+    events: Producer<ControlEvt>,
+    window: Arc<RollingWindow>,
+    slice_nanos: u64,
+    last_blocked: u64,
+}
+
+impl ShardHook for ControlledShard {
+    fn boundary(&mut self, shard: &mut Shard) {
+        // Commands take effect at burst boundaries, like table updates
+        // between pipeline passes.
+        while let Some(cmd) = self.commands.pop() {
+            self.events
+                .push_yielding(control::apply(shard, cmd), || false);
+        }
+    }
+
+    fn busy_round(&mut self, shard: &Shard, start: Instant, replies: u64, peak_depth: u64) {
+        // Additions on a hot slot: nothing the detector does can block this
+        // thread.
+        let slice = start.elapsed().as_nanos() as u64 / self.slice_nanos;
+        self.window.add(slice, WindowChannel::Ops, replies);
+        self.window
+            .raise(slice, WindowChannel::QueueDepth, peak_depth);
+        let blocked = shard.stats().blocked;
+        if blocked > self.last_blocked {
+            self.window
+                .add(slice, WindowChannel::Blocked, blocked - self.last_blocked);
+            self.last_blocked = blocked;
+        }
+    }
+}
+
+/// A controlled client's additions to the fabric's client loop: a run
+/// deadline with a drain grace, retransmission, per-slice completion counts,
+/// and the finished-trace feed to the shadow auditor.
+struct RetryingClient {
+    config: LiveConfig,
+    next_retry_poll: Duration,
+    /// Completions per slice, recorded at the first loop round after them.
+    slices: TimeSeries,
+    recorded: u64,
+    /// A closed channel just means the monitor has already gone home.
+    audit_feed: Sender<PacketTrace>,
+}
+
+impl RetryingClient {
+    fn feed_auditor(&mut self, client: &mut ClientState) {
+        for trace in client.take_finished_traces() {
+            let _ = self.audit_feed.send(trace);
+        }
+    }
+}
+
+impl ClientHook for RetryingClient {
+    fn agent_config(&self, id: u32) -> AgentConfig {
+        AgentConfig::new(Ipv4Addr::for_host(id))
+            .with_timeout(SimDuration::from_nanos(
+                self.config.retry_timeout.as_nanos() as u64,
+            ))
+            .with_max_retries(self.config.max_retries)
+    }
+
+    fn may_issue(&mut self, at: Duration) -> bool {
+        at < self.config.duration
+    }
+
+    fn round(&mut self, client: &mut ClientState, start: Instant) -> ControlFlow<(), RetryBatch> {
+        let at = start.elapsed();
+        let completed = client.report().completed;
+        if completed > self.recorded {
+            let fresh = completed - self.recorded;
+            self.slices.record_n(at.as_nanos() as u64, fresh);
+            self.recorded = completed;
+        }
+        if at >= self.config.duration + DRAIN_GRACE {
+            // Outstanding queries could not be drained (should not happen:
+            // retries cover every transient drop).
+            return ControlFlow::Break(());
+        }
+        if at < self.next_retry_poll {
+            return ControlFlow::Continue(RetryBatch::new());
+        }
+        // Retransmission timers, and a trace hand-off to the shadow auditor
+        // at the same cadence.
+        self.next_retry_poll = at + self.config.retry_timeout / 2;
+        self.feed_auditor(client);
+        ControlFlow::Continue(client.poll_retries_at(SimTime(at.as_nanos() as u64)))
+    }
+
+    fn exit(&mut self, client: &mut ClientState) {
+        // Everything that completed since the last poll still reaches the
+        // auditor; what stays in the sink is the open (never-acked)
+        // remainder.
+        self.feed_auditor(client);
+    }
+}
+
 /// [`run_live_controlled`] with caller-supplied observation windows: every
 /// shard worker records its per-slice ops / blocked / queue depth into
 /// `windows`, and a monitor thread runs the [`GrayFailureDetector`] over
@@ -298,11 +398,6 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
         fabric.num_shards,
         "one observation window per shard"
     );
-    assert!(fabric.num_shards > 0 && fabric.num_clients > 0);
-    assert!(
-        fabric.ring_capacity >= config.workload.window,
-        "rings must hold a full client window"
-    );
     if let Some(script) = &config.script {
         assert!(
             script.repair_ends_at() < config.duration,
@@ -311,452 +406,202 @@ pub fn run_live_observed(config: LiveConfig, windows: WindowRegistry) -> LiveRep
             config.duration
         );
     }
-    let ring_def = fabric.build_ring();
     let mut workload = config.workload;
     workload.ops_per_client = u64::MAX;
-    let shards = build_shards(&fabric, &workload);
 
-    // Dataplane rings, exactly as in `run_live`.
-    let mut query_tx: Vec<Vec<Producer<Frame>>> =
-        (0..fabric.num_clients).map(|_| Vec::new()).collect();
-    let mut query_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..fabric.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_tx: Vec<Vec<Producer<Frame>>> =
-        (0..fabric.num_shards).map(|_| Vec::new()).collect();
-    let mut reply_rx: Vec<Vec<Consumer<Frame>>> =
-        (0..fabric.num_clients).map(|_| Vec::new()).collect();
-    for client_rings in query_tx.iter_mut() {
-        for shard_rings in query_rx.iter_mut() {
-            let (tx, rx) = spsc_ring::<Frame>(fabric.ring_capacity);
-            client_rings.push(tx);
-            shard_rings.push(rx);
-        }
-    }
-    for shard_rings in reply_tx.iter_mut() {
-        for client_rings in reply_rx.iter_mut() {
-            let (tx, rx) = spsc_ring::<Frame>(fabric.ring_capacity);
-            shard_rings.push(tx);
-            client_rings.push(rx);
-        }
-    }
-    // Control rings: one command/event pair per shard.
-    let mut ctrl_links: Vec<ControllerLink> = Vec::new();
-    let mut ctrl_cmd_rx: Vec<Consumer<ControlCmd>> = Vec::new();
-    let mut ctrl_evt_tx: Vec<Producer<ControlEvt>> = Vec::new();
-    for _ in 0..fabric.num_shards {
+    // Control rings: one command/event pair per shard. The controller runs
+    // as the runtime's `main`, so shards stay up until it has finished.
+    let mut links = Vec::with_capacity(fabric.num_shards);
+    let mut shard_hooks = Vec::with_capacity(fabric.num_shards);
+    for s in 0..fabric.num_shards {
         let (cmd_tx, cmd_rx) = spsc_ring::<ControlCmd>(CONTROL_RING);
         let (evt_tx, evt_rx) = spsc_ring::<ControlEvt>(CONTROL_RING);
-        ctrl_links.push(ControllerLink {
+        links.push(ControllerLink {
             tx: cmd_tx,
             rx: evt_rx,
         });
-        ctrl_cmd_rx.push(cmd_rx);
-        ctrl_evt_tx.push(evt_tx);
-    }
-
-    let done_clients = Arc::new(AtomicUsize::new(0));
-    // Per-client exit flags: a client that hit its hard stop may leave
-    // queries in its ingress rings; shards must not block forever pushing
-    // replies nobody will drain.
-    let client_done: Arc<Vec<AtomicBool>> = Arc::new(
-        (0..fabric.num_clients)
-            .map(|_| AtomicBool::new(false))
-            .collect(),
-    );
-    let ctrl_done = Arc::new(AtomicBool::new(config.script.is_none()));
-    let t0 = Instant::now();
-
-    // Shard workers: dataplane bursts + control-command draining in between.
-    let mut shard_handles = Vec::new();
-    for (s, mut shard) in shards.into_iter().enumerate() {
-        if fabric.trace.enabled {
-            shard.enable_tracing(fabric.trace, t0);
-        }
-        let mut ingress = std::mem::take(&mut query_rx[s]);
-        let mut egress = std::mem::take(&mut reply_tx[s]);
-        let mut cmd_rx = ctrl_cmd_rx.remove(0);
-        let mut evt_tx = ctrl_evt_tx.remove(0);
-        let done = Arc::clone(&done_clients);
-        let exited = Arc::clone(&client_done);
-        let ctl_done = Arc::clone(&ctrl_done);
-        let burst = fabric.burst;
-        let num_clients = fabric.num_clients;
-        let pin = fabric.pin_shards;
-        let window = Arc::clone(windows.window(s));
-        let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
-        let handle = std::thread::Builder::new()
-            .name(format!("livectl-shard-{s}"))
-            .spawn(move || {
-                if pin {
-                    // Advisory, exactly as in `run_live`: a failed pin still
-                    // runs the shard, merely unpinned.
-                    let _ = netchain_fabric::pin_thread(s);
-                }
-                let mut frames: Vec<Frame> = Vec::with_capacity(burst);
-                let mut replies = BatchEncoder::with_capacity(burst, 128);
-                let mut last_blocked = 0u64;
-                loop {
-                    // Control plane first: commands take effect at burst
-                    // boundaries, like table updates between pipeline passes.
-                    while let Some(cmd) = cmd_rx.pop() {
-                        let mut evt = Some(control::apply(&mut shard, cmd));
-                        while let Some(e) = evt.take() {
-                            match evt_tx.push(e) {
-                                Ok(()) => break,
-                                Err(back) => {
-                                    evt = Some(back);
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
-                    let mut any = false;
-                    let mut slice_ops = 0u64;
-                    let mut peak_depth = 0u64;
-                    for c in 0..num_clients {
-                        frames.clear();
-                        let got = ingress[c].pop_batch(&mut frames, burst);
-                        if got == 0 {
-                            continue;
-                        }
-                        any = true;
-                        peak_depth = peak_depth.max(got as u64);
-                        replies.clear();
-                        shard.process_burst(frames.iter().map(|f| f.as_bytes()), &mut replies);
-                        slice_ops += replies.len() as u64;
-                        for frame in replies.frames() {
-                            let mut item =
-                                Some(Frame::from_bytes(frame).expect("replies fit in a frame"));
-                            loop {
-                                match egress[c].push(item.take().expect("refilled on Err")) {
-                                    Ok(()) => break,
-                                    Err(back) => {
-                                        if exited[c].load(Ordering::Acquire) {
-                                            // The client gave up (hard stop)
-                                            // with its reply ring full; the
-                                            // reply has no reader any more.
-                                            break;
-                                        }
-                                        item = Some(back);
-                                        std::thread::yield_now();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if any {
-                        // Rolling-window accounting, once per busy burst
-                        // round: additions on a hot slot, nothing the
-                        // detector does can block this thread.
-                        let slice = t0.elapsed().as_nanos() as u64 / slice_nanos;
-                        window.add(slice, WindowChannel::Ops, slice_ops);
-                        window.raise(slice, WindowChannel::QueueDepth, peak_depth);
-                        let blocked = shard.stats().blocked;
-                        if blocked > last_blocked {
-                            window.add(slice, WindowChannel::Blocked, blocked - last_blocked);
-                            last_blocked = blocked;
-                        }
-                    } else {
-                        if done.load(Ordering::Acquire) == num_clients
-                            && ctl_done.load(Ordering::Acquire)
-                            && ingress.iter_mut().all(|r| r.is_empty_now())
-                        {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-                (shard.id(), *shard.stats(), shard.take_traces())
-            })
-            .expect("spawn shard thread");
-        shard_handles.push(handle);
+        shard_hooks.push(ControlledShard {
+            commands: cmd_rx,
+            events: evt_tx,
+            window: Arc::clone(windows.window(s)),
+            slice_nanos: windows.slice_len().as_nanos().max(1) as u64,
+            last_blocked: 0,
+        });
     }
 
     // Completed traces stream from the clients to the monitor's shadow
     // auditor over an unbounded channel: clients never block on it, and the
-    // monitor drains at its own slice cadence.
+    // monitor drains at its own slice cadence. The clients hold the only
+    // senders, so the channel closes itself once the last one exits.
     let (audit_tx, audit_rx) = std::sync::mpsc::channel::<PacketTrace>();
-
-    // Duration-driven, retrying, slice-accounting clients.
-    let mut client_handles = Vec::new();
-    for c in 0..fabric.num_clients {
-        let mut tx = std::mem::take(&mut query_tx[c]);
-        let mut rx = std::mem::take(&mut reply_rx[c]);
-        let ring_clone = ring_def.clone();
-        let done = Arc::clone(&done_clients);
-        let exited = Arc::clone(&client_done);
-        let audit_feed = audit_tx.clone();
-        let cfg = config;
-        let handle = std::thread::Builder::new()
-            .name(format!("livectl-client-{c}"))
-            .spawn(move || {
-                let agent_config = AgentConfig::new(Ipv4Addr::for_host(c as u32))
-                    .with_timeout(SimDuration::from_nanos(cfg.retry_timeout.as_nanos() as u64))
-                    .with_max_retries(cfg.max_retries);
-                let mut wl = cfg.workload;
-                wl.ops_per_client = u64::MAX;
-                let mut client =
-                    ClientState::with_agent_config(c as u32, &ring_clone, wl, agent_config);
-                if cfg.fabric.trace.enabled {
-                    client.enable_tracing(cfg.fabric.trace);
-                }
-                let deadline = t0 + cfg.duration;
-                let hard_stop = deadline + DRAIN_GRACE;
-                let slice_nanos = cfg.slice.as_nanos() as u64;
-                let mut slices = TimeSeries::new(slice_nanos);
-                let mut pending: VecDeque<(usize, Frame)> = VecDeque::new();
-                let mut reply_buf: Vec<Frame> = Vec::with_capacity(cfg.fabric.burst);
-                let mut next_retry_poll = t0 + cfg.retry_timeout;
-                loop {
-                    let now = Instant::now();
-                    let elapsed = now.duration_since(t0);
-                    let now_st = SimTime(elapsed.as_nanos() as u64);
-                    let mut progressed = false;
-                    // Flush parked frames (issues and retransmits alike).
-                    while let Some((s, frame)) = pending.pop_front() {
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => {
-                                pending.push_front((s, back));
-                                break;
-                            }
-                        }
-                    }
-                    // Issue new work while the run is live.
-                    while pending.is_empty() && now < deadline && client.can_issue() {
-                        let pkt = client.issue_at(now_st);
-                        let s = cfg.fabric.shard_of(&ring_clone, &pkt.netchain.key);
-                        let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                        match tx[s].push(frame) {
-                            Ok(()) => progressed = true,
-                            Err(back) => pending.push_back((s, back)),
-                        }
-                    }
-                    // Drain replies into the current slice.
-                    for shard_rx in rx.iter_mut() {
-                        reply_buf.clear();
-                        if shard_rx.pop_batch(&mut reply_buf, cfg.fabric.burst) > 0 {
-                            progressed = true;
-                            for frame in &reply_buf {
-                                if client.absorb_reply_at(now_st, frame.as_bytes()) {
-                                    slices.record(elapsed.as_nanos() as u64);
-                                }
-                            }
-                        }
-                    }
-                    // Retransmission timers, and a trace hand-off to the
-                    // shadow auditor at the same cadence (a closed channel
-                    // just means the monitor has already gone home).
-                    if now >= next_retry_poll {
-                        next_retry_poll = now + cfg.retry_timeout / 2;
-                        for trace in client.take_finished_traces() {
-                            let _ = audit_feed.send(trace);
-                        }
-                        for pkt in client.poll_retries_at(now_st) {
-                            let s = cfg.fabric.shard_of(&ring_clone, &pkt.netchain.key);
-                            let frame = Frame::from_packet(&pkt).expect("queries fit in a frame");
-                            match tx[s].push(frame) {
-                                Ok(()) => progressed = true,
-                                Err(back) => pending.push_back((s, back)),
-                            }
-                        }
-                    }
-                    if now >= deadline && client.outstanding() == 0 && pending.is_empty() {
-                        break;
-                    }
-                    if now >= hard_stop {
-                        // Outstanding queries could not be drained (should
-                        // not happen: retries cover every transient drop).
-                        break;
-                    }
-                    if !progressed {
-                        std::thread::yield_now();
-                    }
-                }
-                exited[c].store(true, Ordering::Release);
-                done.fetch_add(1, Ordering::Release);
-                // Final drain: everything that completed since the last poll
-                // still reaches the auditor; what's left in `take_traces` is
-                // the open (never-acked) remainder.
-                for trace in client.take_finished_traces() {
-                    let _ = audit_feed.send(trace);
-                }
-                let latency = client.latency_snapshot();
-                let traces = client.take_traces();
-                (client.report(), slices, latency, traces)
-            })
-            .expect("spawn client thread");
-        client_handles.push(handle);
-    }
-    // The clients hold the only senders now; the channel closes itself once
-    // the last one exits.
+    let client_hooks: Vec<RetryingClient> = (0..fabric.num_clients)
+        .map(|_| RetryingClient {
+            config,
+            next_retry_poll: config.retry_timeout,
+            slices: TimeSeries::new(config.slice.as_nanos() as u64),
+            recorded: 0,
+            audit_feed: audit_tx.clone(),
+        })
+        .collect();
     drop(audit_tx);
 
-    // The monitor: judges each completed window slice with the gray-failure
-    // detector while the run is live, and runs the shadow auditor over every
-    // completed trace the clients hand it. It only reads atomics the shard
-    // workers publish, so it never perturbs the dataplane; on an anomaly it
-    // journals the event and dumps its flight recorder to the artifact dir.
     let monitor_stop = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let windows = windows.clone();
-        let stop = Arc::clone(&monitor_stop);
-        let num_shards = fabric.num_shards;
-        let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
-        let nap = (windows.slice_len() / 2).max(Duration::from_micros(500));
-        // The script's transitions are consistency no-man's-land: reads
-        // issued while failover or repair rules are landing may legitimately
-        // observe either side. Widen the scripted window by a few retry
-        // rounds plus one slice so ops straddling the edges fall inside too.
-        let suppress: Vec<(u64, u64)> = config
-            .script
-            .as_ref()
-            .map(|script| {
-                let slack = config.retry_timeout * 4 + config.slice;
-                let start = script.kill_at.saturating_sub(slack);
-                let end = script.repair_ends_at() + slack;
-                vec![(start.as_nanos() as u64, end.as_nanos() as u64)]
-            })
-            .unwrap_or_default();
-        std::thread::Builder::new()
-            .name("livectl-monitor".to_string())
-            .spawn(move || {
-                let mut detector = GrayFailureDetector::new(num_shards, DetectorConfig::default());
-                let mut shadow = ShadowAuditor::new(suppress);
-                let mut audited: Vec<PacketTrace> = Vec::new();
-                let mut journal = Journal::new();
-                let recorder = FlightRecorder::new(FLIGHT_CAPACITY);
-                let mut anomalies: Vec<LiveAnomaly> = Vec::new();
-                let mut next = 0u64;
-                loop {
-                    let stopping = stop.load(Ordering::Acquire);
-                    // Shadow audit first: ingest whatever completed since the
-                    // last wake-up. The traces come back out of this thread
-                    // so the report's merged trace set stays whole.
-                    while let Ok(trace) = audit_rx.try_recv() {
-                        shadow.ingest(&trace);
-                        audited.push(trace);
-                    }
-                    for violation in shadow.take_violations() {
-                        let at_ns = violation.at_ns;
-                        journal.instant(format!("audit:{}", violation.kind.label()), at_ns);
-                        recorder.record(
-                            at_ns,
-                            "audit.violation",
-                            vec![("violation", violation.to_json())],
-                        );
-                        if let Some(path) = recorder.dump("livectl_audit") {
-                            eprintln!(
-                                "livectl: {} — flight dump at {}",
-                                violation.describe(),
-                                path.display()
-                            );
-                        }
-                        anomalies.push(LiveAnomaly::Audit(violation));
-                    }
-                    // Judge slices strictly before the current one — the
-                    // current slice is still filling and would read as a
-                    // universal dip. On shutdown, judge the last one too.
-                    let current = windows.slice_of(t0.elapsed());
-                    let upto = if stopping { current + 1 } else { current };
-                    while next < upto {
-                        let slice = next;
-                        next += 1;
-                        let across = windows.slice_across_shards(slice);
-                        let at_ns = slice * slice_nanos;
-                        recorder.record(
-                            at_ns,
-                            "slice",
-                            vec![(
-                                "ops",
-                                Json::Arr(
-                                    across
-                                        .iter()
-                                        .map(|c| Json::U64(c[WindowChannel::Ops as usize]))
-                                        .collect(),
-                                ),
-                            )],
-                        );
-                        for anomaly in detector.observe_slice(slice, &across) {
-                            journal.instant(format!("gray-failure:shard{}", anomaly.shard), at_ns);
-                            recorder.record(
-                                at_ns,
-                                "anomaly",
-                                vec![("detail", Json::str(anomaly.describe()))],
-                            );
-                            if let Some(path) = recorder.dump("livectl_gray") {
-                                eprintln!(
-                                    "livectl: {} — flight dump at {}",
-                                    anomaly.describe(),
-                                    path.display()
-                                );
-                            }
-                            anomalies.push(LiveAnomaly::Gray(anomaly));
-                        }
-                    }
-                    if stopping {
-                        break;
-                    }
-                    std::thread::sleep(nap);
-                }
-                (journal, anomalies, audited)
-            })
-            .expect("spawn monitor thread")
-    };
-
-    // The controller runs on this thread (it sleeps most of the time).
-    let timeline = config.script.as_ref().map(|script| {
-        let mut controller = LiveController {
-            links: std::mem::take(&mut ctrl_links),
-            ring: ring_def.clone(),
-            spares: fabric.spare_ips(),
-            next_token: 0,
-            next_session: 1,
-        };
-        let timeline = controller.run(script, t0);
-        ctrl_done.store(true, Ordering::Release);
-        timeline
-    });
-
-    let mut slices = TimeSeries::new(config.slice.as_nanos() as u64);
-    let mut clients = Vec::new();
-    let mut latency = HistSnapshot::empty();
-    let mut trace_fragments = Vec::new();
-    for handle in client_handles {
-        let (report, client_slices, client_latency, traces) =
-            handle.join().expect("client thread panicked");
-        clients.push(report);
-        slices.merge(&client_slices);
-        latency.merge(&client_latency);
-        trace_fragments.extend(traces);
-    }
-    let elapsed = t0.elapsed();
-    let mut shard_stats = vec![Default::default(); fabric.num_shards];
-    for handle in shard_handles {
-        let (id, stats, traces) = handle.join().expect("shard thread panicked");
-        shard_stats[id] = stats;
-        trace_fragments.extend(traces);
-    }
+    let (mut run, clients, (monitor, timeline)) =
+        run_live_with(fabric, workload, shard_hooks, client_hooks, |t0| {
+            let stop = Arc::clone(&monitor_stop);
+            let monitor = spawn_monitor(&config, windows, audit_rx, stop, t0);
+            // The controller runs on this thread (it sleeps most of the
+            // time).
+            let timeline = config.script.as_ref().map(|script| {
+                let mut controller = LiveController {
+                    links,
+                    ring: fabric.build_ring(),
+                    spares: fabric.spare_ips(),
+                    next_token: 0,
+                    next_session: 1,
+                };
+                controller.run(script, t0)
+            });
+            (monitor, timeline)
+        });
     // All window writers have exited; let the monitor judge the final slice
     // and hand back its journal.
     monitor_stop.store(true, Ordering::Release);
-    let (ops_journal, anomalies, audited_traces) = monitor.join().expect("monitor thread panicked");
-    // Completed traces detoured through the auditor; fold them back in so
-    // the merged trace set is exactly what an unaudited run would report.
-    trace_fragments.extend(audited_traces);
-    let completed_ops: u64 = clients.iter().map(|c| c.completed).sum();
+    let (ops_journal, anomalies, audited) = monitor.join().expect("monitor thread panicked");
+    // Completed client fragments detoured through the auditor; fold them
+    // back in so the merged trace set is exactly what an unaudited run would
+    // report.
+    run.traces = merge_traces(std::mem::take(&mut run.traces).into_iter().chain(audited));
+    let mut slices = TimeSeries::new(config.slice.as_nanos() as u64);
+    for client in &clients {
+        slices.merge(&client.slices);
+    }
     LiveReport {
-        elapsed,
+        fabric: run,
         slice: config.slice,
         slices: slices.counts().to_vec(),
-        completed_ops,
-        ops_per_sec: completed_ops as f64 / elapsed.as_secs_f64().max(1e-12),
-        clients,
-        shards: shard_stats,
-        latency,
-        traces: merge_traces(trace_fragments),
         timeline,
         anomalies,
         ops_journal,
     }
+}
+
+/// What the monitor hands back: its journal, the anomalies it flagged, and
+/// the traces it audited.
+type MonitorOutput = (Journal, Vec<LiveAnomaly>, Vec<PacketTrace>);
+
+/// Spawns the monitor: it judges each completed window slice with the
+/// gray-failure detector while the run is live, and runs the shadow auditor
+/// over every completed trace the clients hand it. It only reads atomics the
+/// shard workers publish, so it never perturbs the dataplane; on an anomaly
+/// it journals the event and dumps its flight recorder to the artifact dir.
+/// It judges the last slice and exits once `stop` is set.
+fn spawn_monitor(
+    config: &LiveConfig,
+    windows: WindowRegistry,
+    audit_rx: Receiver<PacketTrace>,
+    stop: Arc<AtomicBool>,
+    t0: Instant,
+) -> JoinHandle<MonitorOutput> {
+    let num_shards = config.fabric.num_shards;
+    let slice_nanos = windows.slice_len().as_nanos().max(1) as u64;
+    let nap = (windows.slice_len() / 2).max(Duration::from_micros(500));
+    // The script's transitions are consistency no-man's-land: reads issued
+    // while failover or repair rules are landing may legitimately observe
+    // either side. Widen the scripted window by a few retry rounds plus one
+    // slice so ops straddling the edges fall inside too.
+    let suppress: Vec<(u64, u64)> = config
+        .script
+        .as_ref()
+        .map(|script| {
+            let slack = config.retry_timeout * 4 + config.slice;
+            let start = script.kill_at.saturating_sub(slack);
+            let end = script.repair_ends_at() + slack;
+            vec![(start.as_nanos() as u64, end.as_nanos() as u64)]
+        })
+        .unwrap_or_default();
+    std::thread::Builder::new()
+        .name("livectl-monitor".to_string())
+        .spawn(move || {
+            let mut detector = GrayFailureDetector::new(num_shards, DetectorConfig::default());
+            let mut shadow = ShadowAuditor::new(suppress);
+            let mut audited: Vec<PacketTrace> = Vec::new();
+            let mut journal = Journal::new();
+            let recorder = FlightRecorder::new(FLIGHT_CAPACITY);
+            let mut anomalies: Vec<LiveAnomaly> = Vec::new();
+            let mut next = 0u64;
+            loop {
+                let stopping = stop.load(Ordering::Acquire);
+                // Shadow audit first: ingest whatever completed since the
+                // last wake-up. The traces come back out of this thread
+                // so the report's merged trace set stays whole.
+                while let Ok(trace) = audit_rx.try_recv() {
+                    shadow.ingest(&trace);
+                    audited.push(trace);
+                }
+                for violation in shadow.take_violations() {
+                    let at_ns = violation.at_ns;
+                    journal.instant(format!("audit:{}", violation.kind.label()), at_ns);
+                    recorder.record(
+                        at_ns,
+                        "audit.violation",
+                        vec![("violation", violation.to_json())],
+                    );
+                    if let Some(path) = recorder.dump("livectl_audit") {
+                        eprintln!(
+                            "livectl: {} — flight dump at {}",
+                            violation.describe(),
+                            path.display()
+                        );
+                    }
+                    anomalies.push(LiveAnomaly::Audit(violation));
+                }
+                // Judge slices strictly before the current one — the
+                // current slice is still filling and would read as a
+                // universal dip. On shutdown, judge the last one too.
+                let current = windows.slice_of(t0.elapsed());
+                let upto = if stopping { current + 1 } else { current };
+                while next < upto {
+                    let slice = next;
+                    next += 1;
+                    let across = windows.slice_across_shards(slice);
+                    let at_ns = slice * slice_nanos;
+                    recorder.record(
+                        at_ns,
+                        "slice",
+                        vec![(
+                            "ops",
+                            Json::Arr(
+                                across
+                                    .iter()
+                                    .map(|c| Json::U64(c[WindowChannel::Ops as usize]))
+                                    .collect(),
+                            ),
+                        )],
+                    );
+                    for anomaly in detector.observe_slice(slice, &across) {
+                        journal.instant(format!("gray-failure:shard{}", anomaly.shard), at_ns);
+                        recorder.record(
+                            at_ns,
+                            "anomaly",
+                            vec![("detail", Json::str(anomaly.describe()))],
+                        );
+                        if let Some(path) = recorder.dump("livectl_gray") {
+                            eprintln!(
+                                "livectl: {} — flight dump at {}",
+                                anomaly.describe(),
+                                path.display()
+                            );
+                        }
+                        anomalies.push(LiveAnomaly::Gray(anomaly));
+                    }
+                }
+                if stopping {
+                    break;
+                }
+                std::thread::sleep(nap);
+            }
+            (journal, anomalies, audited)
+        })
+        .expect("spawn monitor thread")
 }

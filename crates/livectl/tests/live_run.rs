@@ -30,24 +30,27 @@ fn live_run_without_faults_completes_cleanly() {
     // thread for milliseconds).
     config.retry_timeout = Duration::from_millis(200);
     let report = run_live_controlled(config);
-    assert!(report.completed_ops > 0, "the run must make progress");
+    assert!(
+        report.fabric.completed_ops > 0,
+        "the run must make progress"
+    );
     assert!(report.timeline.is_none());
     let slice_total: u64 = report.slices.iter().sum();
     assert_eq!(
-        slice_total, report.completed_ops,
+        slice_total, report.fabric.completed_ops,
         "every completion lands in exactly one slice"
     );
-    for client in &report.clients {
+    for client in &report.fabric.clients {
         assert_eq!(client.version_regressions, 0);
         assert_eq!(client.abandoned, 0);
     }
     assert_eq!(report.total_unroutable(), 0);
     assert_eq!(report.total_blocked(), 0);
     // Latency is always recorded (wall-clock, via the timed client API).
-    assert_eq!(report.latency.count(), report.completed_ops);
-    assert!(report.latency.quantiles().p999_ns >= report.latency.quantiles().p50_ns);
+    assert_eq!(report.fabric.latency.count(), report.fabric.completed_ops);
+    assert!(report.fabric.latency.quantiles().p999_ns >= report.fabric.latency.quantiles().p50_ns);
     // Tracing was off, so no trace fragments were produced.
-    assert!(report.traces.is_empty());
+    assert!(report.fabric.traces.is_empty());
     // A healthy symmetric run never trips the gray-failure monitor.
     assert!(report.anomalies.is_empty(), "{:?}", report.anomalies);
     assert!(report.ops_journal.instants().is_empty());
@@ -63,7 +66,7 @@ fn observed_run_fills_the_shared_windows() {
     config.retry_timeout = Duration::from_millis(200);
     let windows = WindowRegistry::new(2, 64, config.slice);
     let report = run_live_observed(config, windows.clone());
-    assert!(report.completed_ops > 0);
+    assert!(report.fabric.completed_ops > 0);
     assert!(report.anomalies.is_empty());
     // Every reply a shard produced was recorded into its rolling window
     // (the run is far shorter than the 64-slice retention, so nothing has
@@ -78,7 +81,7 @@ fn observed_run_fills_the_shared_windows() {
             }
         }
     }
-    let shard_replies: u64 = report.shards.iter().map(|s| s.replies).sum();
+    let shard_replies: u64 = report.fabric.shards.iter().map(|s| s.replies).sum();
     assert_eq!(window_ops, shard_replies);
     assert!(peak_depth > 0, "busy bursts must record a queue depth");
 }
@@ -113,23 +116,23 @@ fn scripted_failure_fails_over_and_repairs_live() {
 
     // The dataplane kept serving: ops completed, none were permanently lost,
     // and consistency held across failover and repair.
-    assert!(report.completed_ops > 0);
+    assert!(report.fabric.completed_ops > 0);
     assert_eq!(report.total_abandoned(), 0, "retries must cover every drop");
-    for client in &report.clients {
+    for client in &report.fabric.clients {
         assert_eq!(client.version_regressions, 0);
     }
     // The failure was actually felt (queries to the dead switch were lost
     // until rules arrived, so clients retried), and repair actually blocked
     // (some queries hit a block rule).
     assert!(report.total_retries() > 0, "the kill must cost retries");
-    let unroutable: u64 = report.shards.iter().map(|s| s.unroutable).sum();
+    let unroutable: u64 = report.fabric.shards.iter().map(|s| s.unroutable).sum();
     assert!(
         unroutable > 0,
         "pre-failover queries to the victim are lost"
     );
 
     // Repair actually blocked traffic group by group (block rules were hit).
-    let blocked: u64 = report.shards.iter().map(|s| s.blocked).sum();
+    let blocked: u64 = report.fabric.shards.iter().map(|s| s.blocked).sum();
     assert!(blocked > 0, "repair must block some in-window queries");
     // Post-repair throughput recovers: the mean rate in the last 200 ms is
     // at least half the pre-failure mean (a loose, machine-independent
@@ -146,9 +149,12 @@ fn scripted_failure_fails_over_and_repairs_live() {
     // Telemetry rode along: real latency quantiles, sampled per-hop traces
     // (client issue hop → chain hops → client reply hop), and a journal
     // whose spans mirror the timeline.
-    assert_eq!(report.latency.count(), report.completed_ops);
-    assert!(!report.traces.is_empty(), "1/16 sampling must catch traces");
-    let summary = report.trace_summary();
+    assert_eq!(report.fabric.latency.count(), report.fabric.completed_ops);
+    assert!(
+        !report.fabric.traces.is_empty(),
+        "1/16 sampling must catch traces"
+    );
+    let summary = report.fabric.trace_summary();
     let path = summary.dominant_path().expect("some complete path");
     assert!(path.len() >= 3, "client + at least one switch + client");
     let journal = timeline.journal();

@@ -38,7 +38,7 @@ pub mod topology;
 pub use event::Event;
 pub use fault::FaultPlan;
 pub use link::{LinkParams, LinkState, LinkStats};
-pub use metrics::{Counter, LatencyStats, ThroughputSeries};
+pub use metrics::{LatencyStats, ThroughputSeries};
 pub use node::{Context, Message, Node, NodeId, NodeKind, TimerToken};
 pub use routing::RoutingTables;
 pub use simulator::{SimConfig, SimStats, Simulator};

@@ -1,36 +1,8 @@
-//! Measurement helpers used by nodes and experiment harnesses: event
-//! counters, time-bucketed throughput series (for the failure-handling time
+//! Measurement helpers used by nodes and experiment harnesses:
+//! time-bucketed throughput series (for the failure-handling time
 //! series of Figure 10) and latency statistics (for Figure 9(e)).
 
 use crate::time::{SimDuration, SimTime};
-
-/// A simple named counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-}
 
 /// Counts events into fixed-width time buckets and reports a rate series.
 ///
@@ -158,14 +130,6 @@ impl LatencyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn throughput_series_buckets_events() {

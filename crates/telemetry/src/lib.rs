@@ -10,9 +10,8 @@
 //!   mergeable snapshots ([`HistSnapshot`]) and p50/p99/p999 queries at
 //!   ≤ 3.2% relative error.
 //! * [`metrics`] — the [`Metrics`] trait putting every counter struct
-//!   (`ShardStats`, `ClientReport`, ...) behind one named-counter API, a
-//!   time-bucketed [`TimeSeries`], and lock-free [`LiveCounters`]
-//!   publication for progress readers.
+//!   (`ShardStats`, `ClientReport`, ...) behind one named-counter API, and a
+//!   time-bucketed [`TimeSeries`].
 //! * [`trace`] — in-band per-hop tracing in the P4 INT spirit: the trace ID
 //!   is derived from fields every packet already carries (client IP +
 //!   request ID), so sim switches and fabric shards stamp sampled packets
@@ -50,7 +49,7 @@ pub use export::{
 pub use flight::FlightRecorder;
 pub use hist::{HistBucket, HistSnapshot, LatencyHistogram, Quantiles};
 pub use journal::{Journal, Span, SpanHandle};
-pub use metrics::{sum_metrics, LiveCounters, Metrics, TimeSeries};
+pub use metrics::{sum_metrics, Metrics, TimeSeries};
 pub use trace::{
     ip_to_string, key_fingerprint, merge_traces, path_to_string, trace_id, Evidence, EvidenceOp,
     HopRole, HopStamp, PacketTrace, TraceConfig, TraceSink, TraceSummary,

@@ -1,15 +1,10 @@
-//! The metric registry: named counters behind one API, a time-bucketed
-//! event series, and a lock-free publication channel for live progress
-//! reads.
+//! The metric registry: named counters behind one API, and a time-bucketed
+//! event series.
 //!
 //! Design rule: hot paths own plain `u64` fields (single-writer, no atomics,
-//! no false sharing) and *publish* to shared [`AtomicU64`] cells at batch
-//! boundaries with relaxed stores. Readers on other threads get a recent —
-//! not instantaneous — view, which is all a progress watchdog or rate
-//! sampler needs, and the per-packet cost stays at zero.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! no false sharing), so the per-packet cost stays at zero. Live readers on
+//! other threads go through the per-slice rolling windows
+//! ([`crate::window`]), which writers update once per batch.
 
 /// Types that expose their counters as a flat named list. Implemented by
 /// `ShardStats`, `ClientReport`, and friends so exporters, tables, and
@@ -145,64 +140,6 @@ impl TimeSeries {
     }
 }
 
-/// A set of named atomic cells shared between one publisher and any number
-/// of readers. The publisher keeps plain local counters and calls
-/// [`publish`](LiveCounters::publish) at batch boundaries; relaxed ordering
-/// is enough because readers only want a recent total, not a synchronised
-/// one.
-#[derive(Debug, Clone)]
-pub struct LiveCounters {
-    names: &'static [&'static str],
-    cells: Arc<Vec<AtomicU64>>,
-}
-
-impl LiveCounters {
-    /// Creates a zeroed cell set for the given counter names.
-    pub fn new(names: &'static [&'static str]) -> Self {
-        LiveCounters {
-            names,
-            cells: Arc::new((0..names.len()).map(|_| AtomicU64::new(0)).collect()),
-        }
-    }
-
-    /// The counter names.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
-    /// Publishes current local values (same order as names). Relaxed
-    /// stores: one cheap instruction per counter, no fences on the hot
-    /// path.
-    #[inline]
-    pub fn publish(&self, values: &[u64]) {
-        debug_assert_eq!(values.len(), self.names.len());
-        for (cell, &v) in self.cells.iter().zip(values) {
-            cell.store(v, Ordering::Relaxed);
-        }
-    }
-
-    /// Publishes everything a [`Metrics`] implementor exposes.
-    pub fn publish_metrics<M: Metrics>(&self, m: &M) {
-        self.publish(&m.metric_values());
-    }
-
-    /// Reads a recent snapshot of all counters.
-    pub fn read(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Reads one counter by name.
-    pub fn read_one(&self, name: &str) -> Option<u64> {
-        self.names
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| self.cells[i].load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +206,5 @@ mod tests {
     fn time_series_merge_width_mismatch() {
         let mut a = TimeSeries::new(100);
         a.merge(&TimeSeries::new(200));
-    }
-
-    #[test]
-    fn live_counters_publish_read() {
-        let live = LiveCounters::new(&["ops", "drops"]);
-        let reader = live.clone();
-        live.publish(&[42, 3]);
-        assert_eq!(reader.read(), vec![42, 3]);
-        assert_eq!(reader.read_one("drops"), Some(3));
-        assert_eq!(reader.read_one("nope"), None);
-        live.publish_metrics(&Fake { a: 7, b: 8 });
-        // Fake publishes two values into the two cells.
-        assert_eq!(reader.read(), vec![7, 8]);
     }
 }

@@ -287,6 +287,8 @@ pub struct TraceSink {
     config: TraceConfig,
     active: HashMap<u64, PacketTrace>,
     done: Vec<PacketTrace>,
+    /// Traces discarded past `max_traces` by `finish` or `drain`.
+    dropped: u64,
 }
 
 impl TraceSink {
@@ -296,6 +298,7 @@ impl TraceSink {
             config,
             active: HashMap::new(),
             done: Vec::new(),
+            dropped: 0,
         }
     }
 
@@ -352,6 +355,8 @@ impl TraceSink {
         if let Some(trace) = self.active.remove(&id) {
             if self.done.len() < self.config.max_traces {
                 self.done.push(trace);
+            } else {
+                self.dropped += 1;
             }
         }
     }
@@ -362,13 +367,16 @@ impl TraceSink {
         let mut out = std::mem::take(&mut self.done);
         let mut open: Vec<PacketTrace> = self.active.drain().map(|(_, t)| t).collect();
         open.sort_by_key(|t| t.id);
-        for t in open {
-            if out.len() >= self.config.max_traces {
-                break;
-            }
-            out.push(t);
-        }
+        let keep = self.config.max_traces.saturating_sub(out.len());
+        self.dropped += open.len().saturating_sub(keep) as u64;
+        out.extend(open.into_iter().take(keep));
         out
+    }
+
+    /// Traces discarded so far because the sink already held `max_traces`
+    /// (at [`TraceSink::finish`], or open ones at [`TraceSink::drain`]).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 
     /// Number of completed traces currently held.
@@ -598,7 +606,10 @@ mod tests {
             sink.finish(id);
         }
         assert_eq!(sink.finished(), 2);
+        assert_eq!(sink.dropped(), 3, "finish counts what it discards");
+        sink.stamp(9, 1, 9); // still open at drain, and over the cap
         assert_eq!(sink.drain().len(), 2);
+        assert_eq!(sink.dropped(), 4, "drain counts the open ones it discards");
     }
 
     #[test]

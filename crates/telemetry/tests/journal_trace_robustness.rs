@@ -1,12 +1,15 @@
 //! Robustness of the observability plumbing itself: journal ordering when
 //! many threads emit concurrently (each into its own journal, merged after —
-//! the deployment shape every runner uses), and `merge_traces` on the messy
-//! fragment sets a real run produces: dropped hops, partial fragments,
-//! duplicated observers.
+//! the deployment shape every runner uses), `merge_traces` on the messy
+//! fragment sets a real run produces (dropped hops, partial fragments,
+//! duplicated observers), and the artifact decoders on hostile text.
 
 use std::thread;
 
-use netchain_telemetry::{merge_traces, HopStamp, Journal, PacketTrace};
+use netchain_telemetry::{
+    journal_from_json, merge_traces, trace_from_json, HopStamp, Journal, Json, PacketTrace,
+};
+use proptest::prelude::*;
 
 /// Concurrent emitters each own a journal; the run-level journal is the
 /// merge. Ordering guarantees: per-emitter recording order survives the
@@ -137,6 +140,36 @@ fn merge_traces_reassembles_out_of_order_partial_fragments() {
     );
     let t8 = &merged[1];
     assert_eq!(t8.path(), vec![20, 201, 201]);
+}
+
+/// A valid trace record and a valid journal: the texts the fuzzer mangles,
+/// so most inputs get past the parser and into the decoders.
+const SEEDS: [&str; 2] = [
+    r#"{"schema":2,"id":7,"hops":[{"ip":1,"at_ns":2,"role":"head","op":"write","ok":true}]}"#,
+    r#"{"instants":[{"name":"kill","at_ns":5}],"spans":[{"name":"repair","start_ns":1}]}"#,
+];
+
+proptest! {
+    /// Hostile artifact text (a seed with arbitrary bytes written over it,
+    /// cut anywhere) never panics the parser, nor the decoders fed whatever
+    /// it accepts.
+    #[test]
+    fn json_decoders_never_panic_on_garbage(
+        seed in 0..2usize,
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        cut in any::<usize>(),
+    ) {
+        let mut bytes = SEEDS[seed].as_bytes().to_vec();
+        for (at, byte) in edits {
+            let at = at % bytes.len();
+            bytes[at] = byte;
+        }
+        bytes.truncate(cut % (bytes.len() + 1));
+        if let Ok(doc) = Json::parse(&String::from_utf8_lossy(&bytes)) {
+            let _ = trace_from_json(&doc);
+            let _ = journal_from_json(&doc);
+        }
+    }
 }
 
 /// The empty and singleton cases stay trivial.

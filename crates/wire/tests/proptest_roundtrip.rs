@@ -4,7 +4,7 @@
 
 use netchain_wire::{
     ChainList, EthernetHeader, Ipv4Addr, Ipv4Header, Key, MacAddr, NetChainHeader, NetChainPacket,
-    OpCode, QueryStatus, UdpHeader, Value, MAX_CHAIN_LEN, MAX_VALUE_LEN,
+    OpCode, QueryStatus, StatSnapshot, UdpHeader, Value, MAX_CHAIN_LEN, MAX_VALUE_LEN,
 };
 use proptest::prelude::*;
 
@@ -142,6 +142,7 @@ proptest! {
         let _ = UdpHeader::parse(&bytes);
         let _ = EthernetHeader::parse(&bytes);
         let _ = NetChainPacket::from_bytes(&bytes);
+        let _ = StatSnapshot::decode(&bytes);
     }
 
     #[test]
