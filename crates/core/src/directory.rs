@@ -59,16 +59,34 @@ pub struct QueryRoute {
 
 /// The key → chain directory a client agent consults. Thanks to consistent
 /// hashing this is just the ring itself — a few kilobytes of state — rather
-/// than a per-key table, exactly as the paper argues.
+/// than a per-key table, exactly as the paper argues. The ring's chains are
+/// tabulated per virtual group once, so building a route is a slice, not a
+/// chain walk.
 #[derive(Debug, Clone)]
 pub struct ChainDirectory {
     ring: HashRing,
+    /// Every group's chain head → tail, `ring.replication()` switches per
+    /// group, group-major: the order of a write route.
+    chains: Vec<Ipv4Addr>,
+    /// The same chains tail → head: the order of a read route.
+    reversed: Vec<Ipv4Addr>,
 }
 
 impl ChainDirectory {
-    /// Wraps a hash ring.
+    /// Wraps a hash ring, tabulating its chains.
     pub fn new(ring: HashRing) -> Self {
-        ChainDirectory { ring }
+        let chains: Vec<Ipv4Addr> = (0..ring.num_virtual_nodes() as u32)
+            .flat_map(|group| ring.chain_for_group(group).switches)
+            .collect();
+        let reversed = chains
+            .chunks(ring.replication())
+            .flat_map(|chain| chain.iter().rev().copied())
+            .collect();
+        ChainDirectory {
+            ring,
+            chains,
+            reversed,
+        }
     }
 
     /// The underlying ring.
@@ -89,28 +107,26 @@ impl ChainDirectory {
     /// The route for a *write/mutation* query: addressed to the head, with
     /// the rest of the chain (head → tail order) in the header (Figure 4).
     pub fn write_route(&self, key: &Key) -> QueryRoute {
-        let chain = self.chain_for(key);
-        let first_hop = chain.head();
-        let remaining = ChainList::new(chain.switches[1..].to_vec())
-            .expect("chains are far shorter than the header limit");
-        QueryRoute {
-            first_hop,
-            remaining,
-        }
+        self.route(&self.chains, key)
     }
 
     /// The route for a *read* query: addressed to the tail, with the other
     /// chain switches in reverse order in the header — they are only used for
     /// failure handling (§4.2).
     pub fn read_route(&self, key: &Key) -> QueryRoute {
-        let chain = self.chain_for(key);
-        let first_hop = chain.tail();
-        let mut rest: Vec<Ipv4Addr> = chain.switches[..chain.len() - 1].to_vec();
-        rest.reverse();
-        let remaining = ChainList::new(rest).expect("chains are far shorter than the header limit");
+        self.route(&self.reversed, key)
+    }
+
+    /// The route along `key`'s group's chain in `table`: its first switch,
+    /// then the rest in the header.
+    fn route(&self, table: &[Ipv4Addr], key: &Key) -> QueryRoute {
+        let width = self.ring.replication();
+        let start = self.group_of(key) as usize * width;
+        let chain = &table[start..start + width];
         QueryRoute {
-            first_hop,
-            remaining,
+            first_hop: chain[0],
+            remaining: ChainList::new(chain[1..].to_vec())
+                .expect("chains are far shorter than the header limit"),
         }
     }
 }
@@ -140,24 +156,26 @@ mod tests {
     #[test]
     fn write_route_is_head_first() {
         let dir = directory();
-        let key = Key::from_name("foo");
-        let chain = dir.chain_for(&key);
-        let route = dir.write_route(&key);
-        assert_eq!(route.first_hop, chain.head());
-        assert_eq!(route.remaining.len(), chain.len() - 1);
-        assert_eq!(route.remaining.hops(), &chain.switches[1..]);
+        for key in std::iter::once(Key::from_name("foo")).chain((0..200).map(Key::from_u64)) {
+            let chain = dir.chain_for(&key);
+            let route = dir.write_route(&key);
+            assert_eq!(route.first_hop, chain.head());
+            assert_eq!(route.remaining.len(), chain.len() - 1);
+            assert_eq!(route.remaining.hops(), &chain.switches[1..]);
+        }
     }
 
     #[test]
     fn read_route_is_tail_with_reverse_rest() {
         let dir = directory();
-        let key = Key::from_name("foo");
-        let chain = dir.chain_for(&key);
-        let route = dir.read_route(&key);
-        assert_eq!(route.first_hop, chain.tail());
-        let mut expected: Vec<Ipv4Addr> = chain.switches[..chain.len() - 1].to_vec();
-        expected.reverse();
-        assert_eq!(route.remaining.hops(), expected.as_slice());
+        for key in std::iter::once(Key::from_name("foo")).chain((0..200).map(Key::from_u64)) {
+            let chain = dir.chain_for(&key);
+            let route = dir.read_route(&key);
+            assert_eq!(route.first_hop, chain.tail());
+            let mut expected: Vec<Ipv4Addr> = chain.switches[..chain.len() - 1].to_vec();
+            expected.reverse();
+            assert_eq!(route.remaining.hops(), expected.as_slice());
+        }
     }
 
     #[test]

@@ -116,6 +116,10 @@ pub struct ModeRun {
     /// Merged client + worker trace fragments (empty unless the run was
     /// traced): full per-hop evidence paths on the dataplane's shared clock.
     pub traces: Vec<PacketTrace>,
+    /// Worker trace fragments discarded past the sinks' cap
+    /// ([`netchain_net::NetReport::traces_dropped`]); the generator's own
+    /// count is in [`OpenLoopReport::traces_dropped`].
+    pub worker_traces_dropped: u64,
 }
 
 fn sum_io(stats: &[IoStats]) -> IoStats {
@@ -186,6 +190,7 @@ pub fn run_mode_traced(
         io,
         batch_factor,
         traces,
+        worker_traces_dropped: report.traces_dropped,
     }
 }
 
@@ -213,15 +218,22 @@ pub fn capacity_sweep(params: NetScaleParams, io_mode: IoMode) -> (Vec<ModeRun>,
 
 fn print_run(label: &str, run: &ModeRun) {
     let q = run.open.latency.quantiles();
+    let lag = run.open.issue_lag.quantiles();
     println!(
         "  {label:<28} offered {:>9.0} ops/s  achieved {:>9.0} ops/s  \
-         p50 {:>7.1}us  p99 {:>8.1}us  p999 {:>8.1}us  batch {:>4.1}",
+         p50 {:>7.1}us  p99 {:>8.1}us  p999 {:>8.1}us  \
+         issue lag p50 {:>6.1}us p99 {:>8.1}us  batch {:>4.1}  \
+         traces dropped {} client / {} worker",
         run.open.offered_rate,
         run.open.achieved_rate,
         q.p50_ns as f64 / 1e3,
         q.p99_ns as f64 / 1e3,
         q.p999_ns as f64 / 1e3,
+        lag.p50_ns as f64 / 1e3,
+        lag.p99_ns as f64 / 1e3,
         run.batch_factor,
+        run.open.traces_dropped,
+        run.worker_traces_dropped,
     );
 }
 
@@ -244,6 +256,14 @@ fn run_json(run: &ModeRun) -> Json {
             Json::U64(run.open.version_regressions),
         ),
         ("quantiles", quantiles_json(&q)),
+        // How late the generator sent each op; recorded, not gated (it
+        // depends on the host's timers and load).
+        ("issue_lag", quantiles_json(&run.open.issue_lag.quantiles())),
+        ("client_traces_dropped", Json::U64(run.open.traces_dropped)),
+        (
+            "worker_traces_dropped",
+            Json::U64(run.worker_traces_dropped),
+        ),
         ("recv_calls", Json::U64(run.io.recv_calls)),
         ("datagrams_in", Json::U64(run.io.datagrams_in)),
         ("datagrams_out", Json::U64(run.io.datagrams_out)),
@@ -459,6 +479,9 @@ mod tests {
             Some(NET_TRACE_SAMPLING),
         );
         assert!(!run.traces.is_empty(), "sampled traces were recorded");
+        // Complete evidence: no sink hit its cap.
+        assert_eq!(run.open.traces_dropped, 0);
+        assert_eq!(run.worker_traces_dropped, 0);
         // The merged traces must pass the full offline audit: no fault was
         // injected, so any violation here is a bug in the stamps, the merge,
         // or the dataplane itself.

@@ -175,6 +175,22 @@ pub fn pin_thread(cpu: usize) -> bool {
     }
 }
 
+/// Sets the calling thread's timer slack to `ns` nanoseconds when the
+/// `pinning` feature is compiled in and the platform supports it (see
+/// `affinity::set_current_thread_timer_slack_ns`). Returns whether it took
+/// effect; like [`pin_thread`], a failure is advisory.
+pub fn set_thread_timer_slack(ns: u64) -> bool {
+    #[cfg(feature = "pinning")]
+    {
+        affinity::set_current_thread_timer_slack_ns(ns)
+    }
+    #[cfg(not(feature = "pinning"))]
+    {
+        let _ = ns;
+        false
+    }
+}
+
 /// Builds the shards and pre-populates every workload key on its owner.
 pub fn build_shards(config: &FabricConfig, workload: &WorkloadSpec) -> Vec<Shard> {
     let ring = config.build_ring();

@@ -75,8 +75,8 @@ pub mod shard;
 pub mod stats;
 
 pub use fabric::{
-    build_shards, pin_thread, run_capacity, run_live, run_live_with, ClientHook, FabricConfig,
-    ShardHook,
+    build_shards, pin_thread, run_capacity, run_live, run_live_with, set_thread_timer_slack,
+    ClientHook, FabricConfig, ShardHook,
 };
 pub use frame::{Frame, MAX_FRAME_LEN};
 pub use loadgen::{ClientState, RetryBatch, WorkloadSpec};

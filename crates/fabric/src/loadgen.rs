@@ -15,7 +15,7 @@ use netchain_telemetry::{
     key_fingerprint, trace_id, Evidence, HistSnapshot, HopRole, LatencyHistogram, PacketTrace,
     TraceConfig, TraceSink,
 };
-use netchain_wire::{Ipv4Addr, Key, NetChainPacket, PacketView, QueryStatus, Value};
+use netchain_wire::{Ipv4Addr, Key, NetChainPacket, PacketPool, PacketView, QueryStatus, Value};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -119,6 +119,9 @@ pub struct ClientState {
     latency: LatencyHistogram,
     /// In-band trace stamping (client hop), when enabled.
     tracer: Option<TraceSink>,
+    /// The one reply packet being absorbed, retired here after each reply
+    /// so the next decode reuses its chain and value buffers.
+    scratch: PacketPool,
 }
 
 impl ClientState {
@@ -148,6 +151,7 @@ impl ClientState {
             report: ClientReport::default(),
             latency: LatencyHistogram::new(),
             tracer: None,
+            scratch: PacketPool::with_max(1),
         }
     }
 
@@ -305,8 +309,10 @@ impl ClientState {
         let Ok(view) = PacketView::parse(frame) else {
             return false;
         };
-        let pkt = view.to_owned();
-        self.absorb_packet(now, &pkt)
+        let pkt = self.scratch.take(&view);
+        let matched = self.absorb_packet(now, &pkt);
+        self.scratch.put(pkt);
+        matched
     }
 
     /// Checks outstanding queries against the retransmission timeout,

@@ -227,6 +227,9 @@ pub struct NetReport {
     /// Merged per-hop traces from every worker (empty unless
     /// [`NetConfig::trace`] was set).
     pub traces: Vec<PacketTrace>,
+    /// Trace fragments the workers' sinks discarded past their
+    /// `max_traces` cap, summed over shards (0 when untraced).
+    pub traces_dropped: u64,
 }
 
 struct Worker {
@@ -346,7 +349,14 @@ impl NetDataplane {
             io.push(stats);
         }
         let traces = merge_traces(shards.iter_mut().flat_map(|s| s.take_traces()));
-        NetReport { shards, io, traces }
+        // Read after the drain, which may discard open traces too.
+        let traces_dropped = shards.iter().map(Shard::traces_dropped).sum();
+        NetReport {
+            shards,
+            io,
+            traces,
+            traces_dropped,
+        }
     }
 }
 

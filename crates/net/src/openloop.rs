@@ -21,16 +21,35 @@
 //!   re-scheduling it, and the reported p50/p99/p999 are
 //!   coordinated-omission-free.
 //!
+//! Because lateness is charged from the schedule, every microsecond the
+//! generator itself sends an op late is client-stack latency in the result,
+//! so the pacing loop works to send on time:
+//!
+//! * With nothing in flight, a generator thread sleeps until exactly the
+//!   next scheduled issue. Each thread sets its timer slack to 1 ns first.
+//!   Linux's default slack of 50 µs lets the kernel end every such sleep up
+//!   to 50 µs late, which was most of the loopback p50.
+//! * With replies in flight it spins on `yield_now` instead, so a reply is
+//!   absorbed and its latency stamped within microseconds of arriving.
+//!   Blocking in `poll` for replies instead cost more CPU per op and a
+//!   higher p50.
+//! * The loop keeps an O(1) count of ops in flight rather than scanning
+//!   the agents each round, and polls for retransmissions (about once per
+//!   millisecond) only while something is in flight.
+//!
 //! Latencies land in [`netchain_telemetry::LatencyHistogram`]s (one per
 //! agent, merged at the end) and the run returns an [`OpenLoopReport`] with
-//! the offered vs. achieved rate and the merged quantiles.
+//! the offered vs. achieved rate and the merged quantiles. Each op's issue
+//! lag (send time minus scheduled time) lands in a per-thread histogram,
+//! merged into [`OpenLoopReport::issue_lag`], so a run shows how much of
+//! its own latency the generator added.
 
 use crate::dataplane::NetDataplane;
 use mmsg::{RecvQueue, SendQueue, MAX_BURST};
 use netchain_core::AgentConfig;
-use netchain_fabric::{client_id_of, ClientState, WorkloadSpec};
+use netchain_fabric::{client_id_of, set_thread_timer_slack, ClientState, WorkloadSpec};
 use netchain_sim::{SimDuration, SimTime};
-use netchain_telemetry::{HistSnapshot, PacketTrace, TraceConfig};
+use netchain_telemetry::{HistSnapshot, LatencyHistogram, PacketTrace, TraceConfig};
 use netchain_wire::{Ipv4Addr, MAX_FRAME_LEN};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -112,12 +131,19 @@ pub struct OpenLoopReport {
     /// Merged issue→reply latency distribution, in nanoseconds, measured
     /// from each op's *scheduled* issue time.
     pub latency: HistSnapshot,
+    /// How late each op's first transmission left, in nanoseconds: the
+    /// clock after its send minus its scheduled issue time. One sample per
+    /// issued op. This share of [`Self::latency`] is the generator's own.
+    pub issue_lag: HistSnapshot,
     /// Wall-clock span of the issue window.
     pub elapsed: Duration,
     /// Client-side trace fragments (issue/ack evidence), empty unless
     /// [`OpenLoopConfig::trace`] was set. Merge with the dataplane's
     /// `NetReport::traces` for full per-hop paths.
     pub traces: Vec<PacketTrace>,
+    /// Client trace fragments the agents' sinks discarded past their
+    /// `max_traces` cap (0 when untraced).
+    pub traces_dropped: u64,
 }
 
 /// Runs an open-loop workload against `plane` and returns the merged report.
@@ -160,8 +186,10 @@ pub fn run_open_loop(
         stale_replies: 0,
         version_regressions: 0,
         latency: HistSnapshot::empty(),
+        issue_lag: HistSnapshot::empty(),
         elapsed,
         traces: Vec::new(),
+        traces_dropped: 0,
     };
     for outcome in thread_outcomes {
         report.issued += outcome.issued;
@@ -173,7 +201,9 @@ pub fn run_open_loop(
         report.stale_replies += outcome.stale_replies;
         report.version_regressions += outcome.version_regressions;
         report.latency.merge(&outcome.latency);
+        report.issue_lag.merge(&outcome.issue_lag);
         report.traces.extend(outcome.traces);
+        report.traces_dropped += outcome.traces_dropped;
     }
     report.achieved_rate = report.completed as f64 / config.duration.as_secs_f64();
     report
@@ -190,7 +220,9 @@ struct ThreadOutcome {
     stale_replies: u64,
     version_regressions: u64,
     latency: HistSnapshot,
+    issue_lag: HistSnapshot,
     traces: Vec<PacketTrace>,
+    traces_dropped: u64,
 }
 
 /// Draws the next exponential inter-arrival gap (nanoseconds) of a Poisson
@@ -210,6 +242,11 @@ fn generator_thread(
     per_thread: usize,
     rate: f64,
 ) -> ThreadOutcome {
+    // The idle sleeps below must end on the next op's scheduled time, not up
+    // to the default 50 µs timer slack after it (`0` would restore the
+    // default, so 1 ns is the tightest setting). Advisory: without it ops
+    // still go out, just later, and `issue_lag` shows by how much.
+    set_thread_timer_slack(1);
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind generator socket");
     // Non-blocking, paced explicitly below: a blocking recv timeout would be
     // rounded up to scheduler jiffies (milliseconds) by the kernel, which
@@ -245,6 +282,12 @@ fn generator_thread(
     let mut sq = SendQueue::with_capacity(MAX_BURST, MAX_FRAME_LEN);
     let mut frame_buf = [0u8; MAX_FRAME_LEN];
     let mut outcome = ThreadOutcome::default();
+    // Scheduled times of the first transmissions queued in `sq`.
+    let mut scheduled: Vec<u64> = Vec::with_capacity(MAX_BURST);
+    let mut issue_lag = LatencyHistogram::new();
+    // Σ outstanding over `clients`, kept without scanning them: +1 per
+    // issue, −1 per matched reply, minus what each retry poll abandons.
+    let mut in_flight = 0usize;
 
     // All clocks are relative to the *dataplane's* epoch, not a thread-local
     // Instant: shard workers stamp trace evidence on that origin, and the
@@ -262,21 +305,20 @@ fn generator_thread(
 
         // Issue everything that has come due, stamped with its *scheduled*
         // time — queueing delay is the op's problem, not the schedule's.
-        sq.clear();
         while next_issue_ns <= now_ns && next_issue_ns < end_ns {
             let idx = rng.gen_range(0..per_thread);
             let pkt = clients[idx].issue_at(SimTime(next_issue_ns));
+            in_flight += 1;
             let key = pkt.netchain.key;
             let len = pkt.emit_into(&mut frame_buf).expect("bounded frame");
             sq.push(&frame_buf[..len], plane.addr_of_key(&key));
+            scheduled.push(next_issue_ns);
             if sq.len() >= MAX_BURST {
-                let _ = sq.send(&socket);
+                send_issues(&mut sq, &socket, &mut scheduled, &mut issue_lag, epoch);
             }
             next_issue_ns += exp_gap_ns(&mut rng, rate);
         }
-        if !sq.is_empty() {
-            let _ = sq.send(&socket);
-        }
+        send_issues(&mut sq, &socket, &mut scheduled, &mut issue_lag, epoch);
 
         // Drain every reply already queued on the socket, demuxed by the
         // embedded client IP.
@@ -300,8 +342,8 @@ fn generator_thread(
                         let Some(local) = (id as usize).checked_sub(first_id as usize) else {
                             continue;
                         };
-                        if local < per_thread {
-                            clients[local].absorb_reply_at(absorb_at, frame);
+                        if local < per_thread && clients[local].absorb_reply_at(absorb_at, frame) {
+                            in_flight -= 1;
                         }
                     }
                     if n < rq.burst() {
@@ -325,12 +367,16 @@ fn generator_thread(
             break;
         }
 
-        // Drive retransmissions about once per millisecond.
+        // Drive retransmissions about once per millisecond while anything is
+        // in flight; with nothing outstanding there is nothing to retransmit.
         let now_ns = epoch.elapsed().as_nanos() as u64;
-        if now_ns >= next_retry_poll_ns {
+        if in_flight > 0 && now_ns >= next_retry_poll_ns {
             let poll_at = SimTime(now_ns);
-            sq.clear();
             for client in clients.iter_mut() {
+                let before = client.outstanding();
+                if before == 0 {
+                    continue;
+                }
                 for pkt in client.poll_retries_at(poll_at) {
                     let key = pkt.netchain.key;
                     let len = pkt.emit_into(&mut frame_buf).expect("bounded frame");
@@ -339,39 +385,41 @@ fn generator_thread(
                         let _ = sq.send(&socket);
                     }
                 }
+                // Abandoned ops leave the agent without a reply.
+                in_flight -= before - client.outstanding();
             }
             if !sq.is_empty() {
                 let _ = sq.send(&socket);
             }
+            sq.clear();
+            if cfg!(any(test, debug_assertions)) {
+                let outstanding: usize = clients.iter().map(ClientState::outstanding).sum();
+                assert_eq!(in_flight, outstanding, "in-flight count drifted");
+            }
             next_retry_poll_ns = now_ns + 1_000_000;
         }
 
-        if now_ns >= end_ns {
-            let drained = clients.iter().all(|c| c.outstanding() == 0);
-            if drained || now_ns >= hard_end_ns {
-                break;
-            }
+        if now_ns >= end_ns && (in_flight == 0 || now_ns >= hard_end_ns) {
+            break;
         }
 
         // Pacing. With replies in flight, stay hot (yield, don't sleep) so
         // an arriving reply is absorbed — and its latency stamped — within
-        // microseconds. Fully idle, sleep up to the next scheduled event;
-        // issues that come due mid-sleep are still stamped with their
-        // scheduled time, so sleep coarseness never distorts the schedule.
-        if !received_any {
-            if clients.iter().any(|c| c.outstanding() > 0) {
+        // microseconds: a sleep would add the wake-up latency to every
+        // reply, and blocking in `poll` for one costs more CPU per op than
+        // the yield loop. With nothing in flight, sleep until exactly the
+        // next scheduled issue (or the end of the window). An issue that
+        // still goes out late keeps its scheduled time, so the lateness is
+        // charged to the op's latency and recorded in `issue_lag`.
+        if in_flight > 0 {
+            if !received_any {
                 std::thread::yield_now();
-            } else {
-                let now_ns = epoch.elapsed().as_nanos() as u64;
-                let next_event_ns = if next_issue_ns < end_ns {
-                    next_issue_ns.min(next_retry_poll_ns)
-                } else {
-                    next_retry_poll_ns
-                };
-                if next_event_ns > now_ns {
-                    let gap = (next_event_ns - now_ns).min(200_000);
-                    std::thread::sleep(Duration::from_nanos(gap));
-                }
+            }
+        } else {
+            let wake_ns = next_issue_ns.min(end_ns);
+            let now_ns = epoch.elapsed().as_nanos() as u64;
+            if wake_ns > now_ns {
+                std::thread::sleep(Duration::from_nanos(wake_ns - now_ns));
             }
         }
     }
@@ -388,25 +436,53 @@ fn generator_thread(
         outcome.version_regressions += report.version_regressions;
         outcome.latency.merge(&client.latency_snapshot());
         outcome.traces.extend(client.take_traces());
+        // Read after the drain, which may discard open traces too.
+        outcome.traces_dropped += client.traces_dropped();
         plane.deregister_client(Ipv4Addr::for_host(client.id()));
     }
+    outcome.issue_lag = issue_lag.snapshot();
     outcome
+}
+
+/// Sends the first transmissions queued in `sq` and records each one's
+/// issue lag: the clock after the send minus the op's scheduled time.
+fn send_issues(
+    sq: &mut SendQueue,
+    socket: &UdpSocket,
+    scheduled: &mut Vec<u64>,
+    issue_lag: &mut LatencyHistogram,
+    epoch: Instant,
+) {
+    if sq.is_empty() {
+        return;
+    }
+    let _ = sq.send(socket);
+    sq.clear();
+    let sent_ns = epoch.elapsed().as_nanos() as u64;
+    for &at in scheduled.iter() {
+        issue_lag.record(sent_ns.saturating_sub(at));
+    }
+    scheduled.clear();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataplane::{NetConfig, NetDataplane};
+    use crate::dataplane::{FaultSpec, NetConfig, NetDataplane};
     use netchain_core::HashRing;
     use netchain_switch::PipelineConfig;
     use netchain_wire::{Key, Value};
 
     fn start_plane(num_keys: u64) -> NetDataplane {
+        start_plane_with(num_keys, |config| config)
+    }
+
+    fn start_plane_with(num_keys: u64, tweak: impl FnOnce(NetConfig) -> NetConfig) -> NetDataplane {
         let ring = HashRing::new((0..4).map(Ipv4Addr::for_switch).collect(), 8, 3, 7);
         let populate: Vec<(Key, Value)> = (0..num_keys)
             .map(|k| (Key::from_u64(k), Value::from_u64(0)))
             .collect();
-        let config = NetConfig::new(ring, 2, PipelineConfig::tiny(4096));
+        let config = tweak(NetConfig::new(ring, 2, PipelineConfig::tiny(4096)));
         NetDataplane::start(config, &populate).expect("start plane")
     }
 
@@ -423,6 +499,85 @@ mod tests {
         assert_eq!(report.completed, report.issued, "every op must complete");
         let q = report.latency.quantiles();
         assert!(q.p50_ns > 0 && q.p99_ns >= q.p50_ns && q.p999_ns >= q.p99_ns);
+        // One issue-lag sample per issued op (its size depends on the host).
+        assert_eq!(report.issue_lag.count(), report.issued);
+    }
+
+    #[test]
+    fn in_flight_count_tracks_outstanding_through_loss() {
+        // Every 7th ingress datagram is dropped, so ops complete only after
+        // retransmissions. In unit-test builds the generator checks its
+        // in-flight count against Σ outstanding after every retry poll and
+        // panics on a mismatch, which fails the run.
+        let plane = start_plane_with(32, |config| NetConfig {
+            fault: FaultSpec {
+                drop_every: 7,
+                ..FaultSpec::none()
+            },
+            ..config
+        });
+        let spec = WorkloadSpec::mixed(32, u64::MAX, 80, 15);
+        let mut config = OpenLoopConfig::new(32, 2, 2_000.0, Duration::from_millis(300));
+        config.agent_timeout = SimDuration::from_millis(10);
+        config.agent_max_retries = 20;
+        config.drain_grace = Duration::from_secs(2);
+        let report = run_open_loop(&plane, spec, config);
+        let net = plane.shutdown();
+        assert!(net.io.iter().map(|io| io.shim_dropped).sum::<u64>() > 0);
+        assert!(report.retries > 0, "loss must force retransmissions");
+        assert_eq!(report.abandoned, 0);
+        assert_eq!(report.completed, report.issued);
+        assert_eq!(report.version_regressions, 0);
+        assert_eq!(report.issue_lag.count(), report.issued);
+    }
+
+    #[test]
+    fn abandoned_ops_leave_the_in_flight_count() {
+        // Every datagram is dropped: each op is abandoned after its retry
+        // budget, and only the in-flight count reaching zero ends the run
+        // before the (long) drain grace does.
+        let plane = start_plane_with(16, |config| NetConfig {
+            fault: FaultSpec {
+                drop_every: 1,
+                ..FaultSpec::none()
+            },
+            ..config
+        });
+        let spec = WorkloadSpec::uniform_read(16, u64::MAX);
+        let mut config = OpenLoopConfig::new(16, 1, 1_000.0, Duration::from_millis(100));
+        config.agent_timeout = SimDuration::from_millis(5);
+        config.agent_max_retries = 2;
+        config.drain_grace = Duration::from_secs(30);
+        let started = Instant::now();
+        let report = run_open_loop(&plane, spec, config);
+        let took = started.elapsed();
+        plane.shutdown();
+        assert!(report.issued > 0);
+        assert_eq!(report.completed, 0);
+        assert_eq!(report.abandoned, report.issued);
+        assert!(
+            took < Duration::from_secs(15),
+            "run waited out the grace: {took:?}"
+        );
+    }
+
+    #[test]
+    fn traced_run_counts_traces_past_the_cap() {
+        // Every op is sampled, but each sink keeps at most 2 traces.
+        let trace = TraceConfig::sampled(0, 2);
+        let plane = start_plane_with(16, |config| NetConfig {
+            trace: Some(trace),
+            ..config
+        });
+        let spec = WorkloadSpec::uniform_read(16, u64::MAX);
+        let mut config = OpenLoopConfig::new(4, 1, 2_000.0, Duration::from_millis(100));
+        config.trace = Some(trace);
+        let report = run_open_loop(&plane, spec, config);
+        let net = plane.shutdown();
+        assert!(report.issued > 20, "issued only {}", report.issued);
+        assert!(report.traces_dropped > 0, "{}", report.traces_dropped);
+        assert!(report.traces.len() <= 4 * 2, "{}", report.traces.len());
+        assert!(net.traces_dropped > 0, "{}", net.traces_dropped);
     }
 
     #[test]
